@@ -97,12 +97,6 @@ def test_pipeline_throughput_records_bench_json():
     * ``pipeline`` — a miniature MXR strategy run (greedy + tabu, no time
       limit) measured through the caching pipeline: evaluation requests
       per second and the cache hit rate the strategy achieves.
-    * ``vector`` — the same neighbourhood priced by the ranking tier
-      (``Evaluator.rank_neighbourhood``): every candidate gets a
-      bounded-error vector estimate, only the top-``shortlist`` are
-      re-priced exactly through the delta kernel.
-      ``speedup_vs_delta`` is the wall-clock ratio against the all-exact
-      delta pass on identical work.
     * ``obs.overhead_pct`` — the telemetry tax: the same strategy run
       with ``--trace`` enabled against its untraced twin (best-of
       windows each).  ``scripts/check_bench_regression.py`` holds this
@@ -135,16 +129,6 @@ def test_pipeline_throughput_records_bench_json():
         3, lambda: delta_eval.evaluate_many(impl, moves)
     )
     evaluations_per_sec = len(moves) / delta_elapsed
-
-    # Ranking tier: vector-estimate everything, exact-price the top-8.
-    # Cache disabled so every window re-ranks the full neighbourhood.
-    shortlist = 8
-    rank_eval = Evaluator(merged, case.faults, cache=False)
-    rank_eval.rank_neighbourhood(impl, moves, shortlist=shortlist)  # warm-up
-    rank_elapsed = _best_of(
-        3, lambda: rank_eval.rank_neighbourhood(impl, moves, shortlist=shortlist)
-    )
-    ranked_per_sec = len(moves) / rank_elapsed
 
     # The same neighbourhood, cold: one full list-scheduling pass each.
     cold_eval = Evaluator(merged, case.faults, cache=False, delta=False)
@@ -220,11 +204,6 @@ def test_pipeline_throughput_records_bench_json():
             "cold_neighbourhood_per_sec": round(cold_per_sec, 1),
             "speedup_vs_cold": round(cold_elapsed / delta_elapsed, 2),
         },
-        "vector": {
-            "candidates_per_sec": round(ranked_per_sec, 1),
-            "shortlist": shortlist,
-            "speedup_vs_delta": round(delta_elapsed / rank_elapsed, 2),
-        },
         "pipeline": {
             "requests_per_sec": round(requests / pipeline_elapsed, 1),
             "cache_hit_rate": round(
@@ -244,6 +223,5 @@ def test_pipeline_throughput_records_bench_json():
 
     assert record["evaluations_per_sec"] > 0
     assert record["delta"]["speedup_vs_cold"] > 1.0
-    assert record["vector"]["speedup_vs_delta"] > 1.0
     assert 0.0 <= record["pipeline"]["cache_hit_rate"] < 1.0
     assert result.evaluations > 0

@@ -15,9 +15,7 @@ Gated metrics (per file, dotted paths into the JSON record):
     * ``delta.speedup_vs_cold`` — the delta kernel's relative win over
       cold passes (guards against the *cold* path speeding up while the
       delta path silently rots, which the absolute headline alone would
-      miss);
-    * ``vector.candidates_per_sec`` — the ranking tier's neighbourhood
-      pricing throughput.
+      miss).
 
 ``BENCH_inject.json``
     * ``inject.scenarios_per_sec`` — fault-scenario simulation
@@ -67,7 +65,6 @@ GATED = (
         (
             "evaluations_per_sec",
             "delta.speedup_vs_cold",
-            "vector.candidates_per_sec",
         ),
     ),
     (

@@ -662,9 +662,8 @@ def _run_inject(args: argparse.Namespace, parser, progress) -> int:
                 "evaluator_cache_hits": registry.value(
                     "evaluator.cache_hits"
                 ),
-                "evaluator_evaluations": (
-                    registry.value("evaluator.exact_evaluations")
-                    + registry.value("evaluator.ranked_evaluations")
+                "evaluator_evaluations": registry.value(
+                    "evaluator.exact_evaluations"
                 ),
             }
             with open(args.json, "w") as handle:

@@ -11,11 +11,14 @@ boundaries as canonical JSON text — sorted keys, no whitespace — so
   what lets a job's canonical payload double as its durable identity
   (:func:`job_fingerprint`) for resume/checkpoint bookkeeping.
 
-Bus configurations reuse the dict codec of :mod:`repro.io.json_codec`.
+Bus configurations reuse the dict codec of :mod:`repro.io.json_codec`;
+the optimization config is encoded field by field from its dataclass
+definition, so no field can be dropped on the wire.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from typing import Any
@@ -55,37 +58,47 @@ def payload_kind(text: str) -> str | None:
 
 # -- optimization config ------------------------------------------------------
 
+#: Wire codecs ``(encode, decode)`` of the config fields whose JSON form
+#: differs from the attribute; every other field crosses as-is.
+_CONFIG_CODECS = {
+    "bus": (
+        lambda bus: None if bus is None else _bus_to_dict(bus),
+        lambda data: None if data is None else _bus_from_dict(data),
+    ),
+    "bus_scale_factors": (list, tuple),
+}
+
+#: Every :class:`OptimizationConfig` field, so a new field is encoded (and
+#: demanded on decode) without touching this module.
+_CONFIG_FIELDS = tuple(
+    field.name for field in dataclasses.fields(OptimizationConfig)
+)
+
+
 def config_to_dict(config: OptimizationConfig) -> dict[str, Any]:
-    return {
-        "greedy_max_iterations": config.greedy_max_iterations,
-        "tabu_max_iterations": config.tabu_max_iterations,
-        "tabu_tenure": config.tabu_tenure,
-        "rounds": config.rounds,
-        "time_limit_s": config.time_limit_s,
-        "ms_per_byte": config.ms_per_byte,
-        "bus": None if config.bus is None else _bus_to_dict(config.bus),
-        "minimize": config.minimize,
-        "optimize_bus": config.optimize_bus,
-        "bus_scale_factors": list(config.bus_scale_factors),
-        "cache_size": config.cache_size,
-    }
+    data = {}
+    for name in _CONFIG_FIELDS:
+        value = getattr(config, name)
+        codec = _CONFIG_CODECS.get(name)
+        data[name] = value if codec is None else codec[0](value)
+    return data
 
 
 def config_from_dict(data: dict[str, Any]) -> OptimizationConfig:
-    bus = data.get("bus")
-    return OptimizationConfig(
-        greedy_max_iterations=data["greedy_max_iterations"],
-        tabu_max_iterations=data["tabu_max_iterations"],
-        tabu_tenure=data["tabu_tenure"],
-        rounds=data["rounds"],
-        time_limit_s=data["time_limit_s"],
-        ms_per_byte=data["ms_per_byte"],
-        bus=None if bus is None else _bus_from_dict(bus),
-        minimize=data["minimize"],
-        optimize_bus=data["optimize_bus"],
-        bus_scale_factors=tuple(data["bus_scale_factors"]),
-        cache_size=data["cache_size"],
-    )
+    if not isinstance(data, dict):
+        raise QueueError("optimization config must be a JSON object")
+    missing = [name for name in _CONFIG_FIELDS if name not in data]
+    unknown = sorted(set(data) - set(_CONFIG_FIELDS))
+    if missing or unknown:
+        raise QueueError(
+            f"optimization config fields do not match: missing {missing}, "
+            f"unknown {unknown}"
+        )
+    values = {}
+    for name in _CONFIG_FIELDS:
+        codec = _CONFIG_CODECS.get(name)
+        values[name] = data[name] if codec is None else codec[1](data[name])
+    return OptimizationConfig(**values)
 
 
 # -- jobs ---------------------------------------------------------------------

@@ -19,8 +19,8 @@ The headline numbers ``summarize`` reports:
   acceptance bar of the telemetry layer;
 * **queue overhead per shard/job** — worker-side ``job`` span self time
   (lease/decode/ack bookkeeping around the traced payload work);
-* **cache / tier effectiveness** — evaluator cache hits vs exact vs
-  ranked pricings, injection per-tier scenario throughput and broker
+* **cache / tier effectiveness** — evaluator cache hits vs exact
+  pricings, injection per-tier scenario throughput and broker
   lease/ack/nack/dead-letter counts, straight from the merged registry.
 """
 
@@ -239,8 +239,7 @@ def effectiveness(run: TraceRun) -> dict[str, Any]:
 
     hits = counters.get("evaluator.cache_hits", 0.0)
     exact = counters.get("evaluator.exact_evaluations", 0.0)
-    ranked = counters.get("evaluator.ranked_evaluations", 0.0)
-    requests = hits + exact + ranked
+    requests = hits + exact
     tiers = {}
     for name, value in counters.items():
         if name.startswith("inject.tier.") and name.endswith(".scenarios"):
@@ -257,7 +256,6 @@ def effectiveness(run: TraceRun) -> dict[str, Any]:
             "cache_hits": hits,
             "cache_hit_rate": hits / requests if requests else 0.0,
             "exact": exact,
-            "ranked": ranked,
             "record_rebuilds": counters.get("evaluator.record_rebuilds", 0.0),
         },
         "broker": {
@@ -341,8 +339,8 @@ def format_summary(run: TraceRun, depth: int = 4) -> str:
             "",
             f"evaluator: {evaluator['requests']:.0f} requests, "
             f"{100.0 * evaluator['cache_hit_rate']:.1f}% cache hits, "
-            f"{evaluator['exact']:.0f} exact / {evaluator['ranked']:.0f} "
-            f"ranked pricings, {evaluator['record_rebuilds']:.0f} rebuilds",
+            f"{evaluator['exact']:.0f} exact pricings, "
+            f"{evaluator['record_rebuilds']:.0f} rebuilds",
         ]
     for tier, data in sorted(eff["inject_tiers"].items()):
         lines.append(

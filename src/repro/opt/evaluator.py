@@ -2,19 +2,19 @@
 
 This is the single documented evaluation surface of the optimizer (the
 ``evaluate``/``evaluate_full``/``cost_of_record`` trio of earlier revisions
-is kept as thin shims over it):
+is kept as thin shims over it).  Every cost it returns is exact: equal,
+bit for bit, to the cost of a cold list-scheduling pass of the design.
 
 * :meth:`Evaluator.evaluate_record` — canonical single-candidate path:
   ``(Cost, ScheduleRecord)`` from one cold list-scheduling pass, LRU-cached
   by the implementation's canonical signature.
 * :meth:`Evaluator.evaluate_many` — the search hot path: a whole
   neighbourhood of single-process moves priced against one shared
-  :class:`~repro.schedule.incremental.EvalContext` via delta re-scheduling.
+  :class:`~repro.schedule.incremental.EvalContext` via delta re-scheduling
+  (one cold pass per candidate when the delta kernel is disabled).
   Candidates are priced *without sealing a record*
   (:meth:`~repro.schedule.state.SchedulerState.cost_view`); the caller
   seals only the candidates it actually follows via :meth:`realize`.
-* :meth:`Evaluator.evaluate_delta` — one candidate through the delta
-  kernel, for callers that manage their own neighbourhood loop.
 * :meth:`Evaluator.evaluate_full` / :meth:`schedule` — materialized
   :class:`~repro.schedule.table.SystemSchedule` views for validation,
   rendering and final results.  ``evaluate_full`` always runs or rebinds a
@@ -24,18 +24,15 @@ is kept as thin shims over it):
 Caching: results are cached by design signature in a bounded LRU.  An entry
 holds the cost and, when one was ever sealed, the compact schedule record;
 delta-priced entries start record-less and are filled in on first
-:meth:`realize`.  Cost parity between the two tiers is exact (see
-``cost_view``), so a cache entry's cost never depends on which tier priced
+:meth:`realize`.  Cost parity between delta and full passes is exact (see
+``cost_view``), so a cache entry's cost never depends on which pass priced
 it.
 
 Counters: ``evaluations`` counts *pricings of designs not served by the
-cache* — the sum of ``full_evaluations``, ``delta_evaluations`` and
-``ranked_evaluations`` (bounded-error vector pricings from
-:meth:`Evaluator.rank_neighbourhood`; those are never cached, since the
-cache must only ever serve exact costs).  Sealing a record for an
-already-priced design (``realize``, or a view request hitting a
-record-less entry) is materialization, not evaluation: it is counted in
-``record_rebuilds`` instead.
+cache* and always equals ``full_evaluations + delta_evaluations``.
+Sealing a record for an already-priced design (``realize``, or a view
+request hitting a record-less entry) is materialization, not evaluation:
+it is counted in ``record_rebuilds`` instead.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from typing import Iterable, NamedTuple
 from repro.model.application import ProcessGraph
 from repro.model.fault import FaultModel
 from repro.model.ftgraph import build_ft_graph
-from repro.opt.cost import WORST_COST, Cost
+from repro.opt.cost import Cost
 from repro.opt.implementation import Implementation
 from repro.opt.moves import Move
 from repro.schedule.incremental import EvalContext
@@ -76,31 +73,14 @@ DEFAULT_CACHE_SIZE = 4096
 #: deliberately tiny.
 DEFAULT_CONTEXT_CACHE_SIZE = 4
 
-#: Default number of top-ranked candidates :meth:`Evaluator.rank_neighbourhood`
-#: re-prices exactly through the delta kernel.  Measured on the 40-process
-#: micro-benchmark neighbourhood (48 moves): 8 keeps the winner inside the
-#: shortlist on every seeded case while pricing the remaining ~83% of the
-#: neighbourhood at vector-kernel cost.
-DEFAULT_SHORTLIST = 8
-
 
 class CacheInfo(NamedTuple):
-    """Cache statistics à la ``functools.lru_cache``.
-
-    ``exact``/``ranked`` split the misses by pricing fidelity: ``exact``
-    counts full+delta pricings (costs the search can seal), ``ranked``
-    counts bounded-error vector pricings (never cached, never sealed) —
-    ``misses == exact + ranked`` always holds.  Both default to 0 so the
-    tuple stays compatible with callers unpacking the original four
-    fields.
-    """
+    """Cache statistics à la ``functools.lru_cache``."""
 
     hits: int
     misses: int
     size: int  # entries currently retained
     bound: int  # maximum entries (LRU capacity)
-    exact: int = 0  # full + delta evaluations
-    ranked: int = 0  # bounded-error vector pricings
 
 
 @dataclass(slots=True)
@@ -122,50 +102,6 @@ class CandidateEval:
     _record: ScheduleRecord | None = None
 
 
-@dataclass(slots=True)
-class RankedCandidate:
-    """One neighbourhood candidate priced by the ranking tier.
-
-    ``estimate`` comes from the vector kernel with its error allowance;
-    candidates re-priced exactly (shortlist members and cache hits) carry
-    the authoritative :class:`CandidateEval` in ``exact``.  A search loop
-    may *select* using :attr:`cost` over all candidates, but must only
-    *seal* (realize) candidates with ``exact`` set — estimates are never
-    associated with a record.
-    """
-
-    move: Move
-    implementation: Implementation
-    estimate: Cost
-    error: float = 0.0
-    degree_error: float = 0.0
-    exact: CandidateEval | None = None
-
-    @property
-    def cost(self) -> Cost:
-        """Exact cost when available, the bounded-error estimate otherwise."""
-        return self.estimate if self.exact is None else self.exact.cost
-
-    @property
-    def optimistic_key(self) -> tuple[int, float, float]:
-        """Best-case sort key: the estimate minus its error allowance.
-
-        Ranking by optimism keeps any candidate that *could* beat the
-        field inside the shortlist (branch-and-bound style); exact
-        candidates rank by their true key.
-        """
-        if self.exact is not None:
-            return self.exact.cost.sort_key
-        degree = self.estimate.degree - self.degree_error
-        if degree < 0.0:
-            degree = 0.0
-        return (
-            0 if degree <= 0.0 else 1,
-            degree,
-            self.estimate.makespan - self.error,
-        )
-
-
 class Evaluator:
     """Schedules candidate implementations of one merged graph."""
 
@@ -183,7 +119,6 @@ class Evaluator:
         self.evaluations = 0
         self.full_evaluations = 0
         self.delta_evaluations = 0
-        self.ranked_evaluations = 0
         self.record_rebuilds = 0
         self.cache_hits = 0
         self._cache_size = cache_size
@@ -298,19 +233,6 @@ class Evaluator:
             contexts.move_to_end(signature)
         return context
 
-    def evaluate_delta(
-        self, base: Implementation, move: Move
-    ) -> CandidateEval:
-        """Price ``move`` applied to ``base`` via cone-suffix re-scheduling.
-
-        Falls back to a full pass when the delta tier is disabled.  The
-        returned candidate carries the final cost; call :meth:`realize` to
-        obtain its schedule record.
-        """
-        return self._evaluate_move(
-            self.context_for(base) if self._delta else None, base, move
-        )
-
     def evaluate_many(
         self, base: Implementation, moves: Iterable[Move]
     ) -> list[CandidateEval]:
@@ -320,19 +242,18 @@ class Evaluator:
         move; cache misses are *planned* as a batch
         (:meth:`EvalContext.plan_moves` shares the per-process
         ancestor-closure priority work) and each costs one delta replay
-        *without* sealing.  The order of the result matches ``moves``.
+        *without* sealing.  With the delta tier disabled each miss costs
+        one cold full pass instead.  The order of the result matches
+        ``moves``.
         """
         moves = list(moves)
         context = self.context_for(base) if self._delta else None
-        if context is None:
-            return [self._evaluate_move(None, base, move) for move in moves]
         results: list[CandidateEval | None] = [None] * len(moves)
-        pending: list[int] = []
-        candidates: list[Implementation] = []
+        pending: list[tuple[int, Implementation, tuple | None]] = []
         cache = self._cache
         for index, move in enumerate(moves):
             candidate = move.apply(base)
-            candidates.append(candidate)
+            signature = None
             if cache is not None:
                 signature = candidate.signature()
                 entry = cache.get(signature)
@@ -343,156 +264,37 @@ class Evaluator:
                         move, candidate, entry[0], signature, None, entry[1]
                     )
                     continue
-            pending.append(index)
+            if context is None:
+                cost, record, _ = self._evaluate(candidate)
+                results[index] = CandidateEval(
+                    move, candidate, cost, signature, None, record
+                )
+            else:
+                pending.append((index, candidate, signature))
         if pending:
             plans = context.plan_moves(
                 [
-                    (
-                        candidates[index].policies,
-                        candidates[index].mapping,
-                        moves[index].process,
-                    )
-                    for index in pending
+                    (candidate.policies, candidate.mapping, moves[index].process)
+                    for index, candidate, _ in pending
                 ]
             )
-            for index, plan in zip(pending, plans):
-                results[index] = self._priced_delta(
-                    context, moves[index], candidates[index], plan
+            for (index, candidate, signature), plan in zip(pending, plans):
+                move = moves[index]
+                state, _stats = context.delta_schedule(
+                    candidate.policies, candidate.mapping, move.process,
+                    plan=plan,
                 )
-        return results
-
-    def _evaluate_move(
-        self,
-        context: EvalContext | None,
-        base: Implementation,
-        move: Move,
-    ) -> CandidateEval:
-        candidate = move.apply(base)
-        cache = self._cache
-        if cache is not None:
-            signature = candidate.signature()
-            entry = cache.get(signature)
-            if entry is not None:
-                cache.move_to_end(signature)
-                self.cache_hits += 1
-                return CandidateEval(
-                    move, candidate, entry[0], signature, None, entry[1]
+                degree, makespan = state.cost_view()
+                cost = Cost(
+                    schedulable=degree == 0.0, degree=degree, makespan=makespan
                 )
-        if context is None:
-            signature = (
-                candidate.signature() if cache is not None else None
-            )
-            cost, record, _ = self._evaluate(candidate)
-            return CandidateEval(
-                move, candidate, cost, signature, None, record
-            )
-        return self._priced_delta(context, move, candidate, None)
-
-    def _priced_delta(
-        self,
-        context: EvalContext,
-        move: Move,
-        candidate: Implementation,
-        plan,
-    ) -> CandidateEval:
-        """Delta-price one (cache-missed) candidate; counters and store."""
-        state, _stats = context.delta_schedule(
-            candidate.policies, candidate.mapping, move.process, plan=plan
-        )
-        degree, makespan = state.cost_view()
-        cost = Cost(
-            schedulable=degree == 0.0, degree=degree, makespan=makespan
-        )
-        self.evaluations += 1
-        self.delta_evaluations += 1
-        signature = None
-        if self._cache is not None:
-            signature = candidate.signature()
-            self._store(signature, [cost, None])
-        return CandidateEval(move, candidate, cost, signature, state, None)
-
-    def rank_neighbourhood(
-        self,
-        base: Implementation,
-        moves: Iterable[Move],
-        shortlist: int = DEFAULT_SHORTLIST,
-    ) -> list[RankedCandidate]:
-        """Rank a neighbourhood with the vector kernel, re-price the top-K.
-
-        Every cache-missed candidate is priced by the bounded-error vector
-        kernel (:class:`~repro.schedule.vector.NeighbourhoodPricer`); the
-        ``shortlist`` best by :attr:`RankedCandidate.optimistic_key` are
-        then re-priced *exactly* through the delta kernel, so the
-        candidate a search selects (and later :meth:`realize`\\ s) carries
-        a cost — and eventually a record — byte-identical to a cold pass.
-        Estimates are never cached and never sealed.  With the delta tier
-        disabled every candidate is priced exactly (degenerates to
-        :meth:`evaluate_many`).  Result order matches ``moves``.
-        """
-        moves = list(moves)
-        if not self._delta:
-            return [
-                RankedCandidate(
-                    candidate.move,
-                    candidate.implementation,
-                    candidate.cost,
-                    exact=candidate,
-                )
-                for candidate in self.evaluate_many(base, moves)
-            ]
-        context = self.context_for(base)
-        results: list[RankedCandidate | None] = [None] * len(moves)
-        pending: list[int] = []
-        cache = self._cache
-        for index, move in enumerate(moves):
-            candidate = move.apply(base)
-            if cache is not None:
-                signature = candidate.signature()
-                entry = cache.get(signature)
-                if entry is not None:
-                    cache.move_to_end(signature)
-                    self.cache_hits += 1
-                    exact = CandidateEval(
-                        move, candidate, entry[0], signature, None, entry[1]
-                    )
-                    results[index] = RankedCandidate(
-                        move, candidate, entry[0], exact=exact
-                    )
-                    continue
-            results[index] = RankedCandidate(move, candidate, WORST_COST)
-            pending.append(index)
-        if pending:
-            prices = context.pricer().price(
-                [
-                    (
-                        moves[index].process,
-                        moves[index].nodes,
-                        moves[index].policy,
-                    )
-                    for index in pending
-                ]
-            )
-            for index, price in zip(pending, prices):
-                ranked = results[index]
-                ranked.estimate = Cost(
-                    schedulable=price.degree == 0.0,
-                    degree=price.degree,
-                    makespan=price.makespan,
-                )
-                ranked.error = price.error
-                ranked.degree_error = price.degree_error
-            # Exact re-pricing of the shortlist, most promising first.
-            # Sorting by (key, index) keeps the order deterministic across
-            # equal estimates.
-            order = sorted(
-                pending, key=lambda index: (results[index].optimistic_key, index)
-            )
-            for index in order[:shortlist]:
-                ranked = results[index]
-                ranked.exact = self._evaluate_move(context, base, ranked.move)
-            for _index in order[shortlist:]:
                 self.evaluations += 1
-                self.ranked_evaluations += 1
+                self.delta_evaluations += 1
+                if signature is not None:
+                    self._store(signature, [cost, None])
+                results[index] = CandidateEval(
+                    move, candidate, cost, signature, state, None
+                )
         return results
 
     def realize(self, candidate: CandidateEval) -> ScheduleRecord:
@@ -571,9 +373,6 @@ class Evaluator:
             makespan=record.makespan,
         )
 
-    def cost_of(self, schedule: SystemSchedule) -> Cost:
-        return self.cost_of_record(schedule.record)
-
     def evaluate(self, implementation: Implementation) -> Cost:
         """Cost of ``implementation`` (cached by design signature)."""
         return self.evaluate_record(implementation)[0]
@@ -581,19 +380,12 @@ class Evaluator:
     # -- statistics ----------------------------------------------------------
 
     def cache_info(self) -> CacheInfo:
-        """Hits, misses, current size and bound of the evaluation cache.
-
-        ``misses`` (== ``evaluations``) splits into ``exact`` (full +
-        delta pricings) and ``ranked`` (bounded-error vector pricings), so
-        ``evaluations = full + delta + ranked`` stays auditable.
-        """
+        """Hits, misses, current size and bound of the evaluation cache."""
         return CacheInfo(
             hits=self.cache_hits,
             misses=self.evaluations,
             size=0 if self._cache is None else len(self._cache),
             bound=0 if self._cache is None else self._cache_size,
-            exact=self.full_evaluations + self.delta_evaluations,
-            ranked=self.ranked_evaluations,
         )
 
     @property
@@ -623,7 +415,6 @@ class Evaluator:
             ),
             "evaluator.full_evaluations": self.full_evaluations,
             "evaluator.delta_evaluations": self.delta_evaluations,
-            "evaluator.ranked_evaluations": self.ranked_evaluations,
             "evaluator.record_rebuilds": self.record_rebuilds,
         }
         for name, value in current.items():

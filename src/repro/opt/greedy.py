@@ -41,17 +41,8 @@ def greedy_mpa(
     stop_when_schedulable: bool = True,
     time_limit_s: float | None = None,
     checkpoint_segments: Sequence[int] = (),
-    shortlist: int | None = None,
 ) -> SearchOutcome:
-    """Greedily improve ``start``; returns the last (best) solution found.
-
-    With ``shortlist`` set the neighbourhood is priced by the vectorized
-    ranking tier (:meth:`Evaluator.rank_neighbourhood`): only the top-K
-    candidates by optimistic estimate are re-priced exactly and the winner
-    is chosen among those — the realized record stays byte-identical to a
-    cold pass because selection never trusts an estimate.  ``None`` (the
-    default) prices every candidate exactly via ``evaluate_many``.
-    """
+    """Greedily improve ``start``; returns the last (best) solution found."""
     registry = obs.get_registry()
     current = start
     current_cost, current_record = evaluator.evaluate_record(current)
@@ -79,26 +70,13 @@ def greedy_mpa(
             # against one captured base context (cone-suffix replays, no
             # records sealed); only the winner's schedule is realized, and
             # the critical path is walked on the record's binding index
-            # triples — no view is ever materialized.  The ranking tier
-            # narrows the exact pricing further to the shortlist; steepest
-            # descent only ever follows an exactly priced candidate.
+            # triples — no view is ever materialized.
             best = None
             best_cost = current_cost
-            if shortlist is None:
-                for candidate in evaluator.evaluate_many(current, moves):
-                    if candidate.cost.is_better_than(best_cost):
-                        best = candidate
-                        best_cost = candidate.cost
-            else:
-                for ranked in evaluator.rank_neighbourhood(
-                    current, moves, shortlist=shortlist
-                ):
-                    exact = ranked.exact
-                    if exact is not None and exact.cost.is_better_than(
-                        best_cost
-                    ):
-                        best = exact
-                        best_cost = exact.cost
+            for candidate in evaluator.evaluate_many(current, moves):
+                if candidate.cost.is_better_than(best_cost):
+                    best = candidate
+                    best_cost = candidate.cost
             registry.inc("search.greedy.iterations")
             if best is None:
                 registry.inc("search.greedy.plateaus")

@@ -130,11 +130,6 @@ class OptimizationConfig:
     optimize_bus: bool = False
     bus_scale_factors: tuple[float, ...] = ()
     cache_size: int | None = None  # None: Evaluator's DEFAULT_CACHE_SIZE
-    #: Candidates the ranking tier re-prices exactly per neighbourhood
-    #: (``Evaluator.rank_neighbourhood``).  ``None`` prices every candidate
-    #: exactly through the delta kernel — the byte-for-byte default; see
-    #: EXPERIMENTS.md for when to set it.
-    shortlist: int | None = None
 
 
 @dataclass
@@ -280,7 +275,6 @@ def _optimize_moves(
                 stop_when_schedulable=stop_when_schedulable,
                 time_limit_s=greedy_remaining,
                 checkpoint_segments=round_segments,
-                shortlist=config.shortlist,
             )
             start = greedy.implementation
             start_cost = greedy.cost
@@ -306,7 +300,6 @@ def _optimize_moves(
                 time_limit_s=remaining,
                 stop_when_schedulable=stop_when_schedulable,
                 checkpoint_segments=round_segments,
-                shortlist=config.shortlist,
             )
             result.stage_costs[f"tabu[{round_index}]"] = tabu.cost
             result.iterations[f"tabu[{round_index}]"] = tabu.iterations

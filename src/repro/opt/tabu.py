@@ -40,17 +40,8 @@ def tabu_search_mpa(
     time_limit_s: float | None = None,
     stop_when_schedulable: bool = True,
     checkpoint_segments: Sequence[int] = (),
-    shortlist: int | None = None,
 ) -> SearchOutcome:
-    """Run TabuSearchMPA from ``start`` and return the best-so-far solution.
-
-    With ``shortlist`` set the neighbourhood is priced by the vectorized
-    ranking tier: the Fig. 9 selection sees exact costs for the shortlist
-    and bounded-error estimates for the rest, and whichever move it picks
-    is re-priced *exactly* before being applied — aspiration checks,
-    best-so-far updates and the realized record never trust an estimate.
-    ``None`` (the default) prices every candidate exactly.
-    """
+    """Run TabuSearchMPA from ``start`` and return the best-so-far solution."""
     graph_size = len(merged)
     if tabu_tenure is None:
         tabu_tenure = max(2, graph_size // 8)
@@ -86,39 +77,17 @@ def tabu_search_mpa(
             # one captured base context (cone-suffix replays, nothing
             # sealed); only the *chosen* move's schedule record is realized
             # — the selection itself needs costs alone.
-            if shortlist is None:
-                candidates = evaluator.evaluate_many(x_now, moves)
-                chosen = _select_move(
-                    [(c.move, c.cost) for c in candidates],
-                    tabu, wait, best_cost, graph_size,
-                )
-                if chosen is None:
-                    break
-                move, now_cost = chosen
-                chosen_eval = next(
-                    candidate
-                    for candidate in candidates
-                    if candidate.move is move
-                )
-            else:
-                ranked = evaluator.rank_neighbourhood(
-                    x_now, moves, shortlist=shortlist
-                )
-                chosen = _select_move(
-                    [(r.move, r.cost) for r in ranked],
-                    tabu, wait, best_cost, graph_size,
-                )
-                if chosen is None:
-                    break
-                move, now_cost = chosen
-                chosen_ranked = next(r for r in ranked if r.move is move)
-                chosen_eval = chosen_ranked.exact
-                if chosen_eval is None:
-                    # The selection picked an estimate-only candidate (e.g.
-                    # a diversification move outside the shortlist):
-                    # re-price it exactly before trusting or applying it.
-                    chosen_eval = evaluator.evaluate_delta(x_now, move)
-                now_cost = chosen_eval.cost
+            candidates = evaluator.evaluate_many(x_now, moves)
+            chosen = _select_move(
+                [(c.move, c.cost) for c in candidates],
+                tabu, wait, best_cost, graph_size,
+            )
+            if chosen is None:
+                break
+            move, now_cost = chosen
+            chosen_eval = next(
+                candidate for candidate in candidates if candidate.move is move
+            )
             x_now = chosen_eval.implementation
             now_record = evaluator.realize(chosen_eval)
             outcome.iterations += 1

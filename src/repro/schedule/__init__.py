@@ -14,18 +14,8 @@ from repro.schedule.metrics import ScheduleMetrics, compute_metrics
 from repro.schedule.priorities import pcp_priorities
 from repro.schedule.record import ScheduleRecord
 from repro.schedule.table import Binding, ScheduledInstance, SystemSchedule
-from repro.schedule.vector import (
-    NeighbourhoodPricer,
-    VectorPrice,
-    chain_dp_batch,
-    release_row_vec,
-)
 
 __all__ = [
-    "NeighbourhoodPricer",
-    "VectorPrice",
-    "chain_dp_batch",
-    "release_row_vec",
     "Binding",
     "GanttOptions",
     "ScheduleMetrics",

@@ -113,10 +113,7 @@ class EvalContext:
         "medl_by_id",
         "snapshots",
         "_snapshot_ranks",
-        "_root_finish_arr",
-        "_ready_rank_arr",
         "_ancestors",
-        "_pricer",
     )
 
     def __init__(
@@ -144,18 +141,9 @@ class EvalContext:
         self.snapshots = snapshots
         self._snapshot_ranks = [rank for rank, _, _ in snapshots]
         self._ancestors: dict[str, tuple[str, ...]] = {}
-        self._pricer = None
 
         ids = record.instance_ids
         self.base_index = {iid: index for index, iid in enumerate(ids)}
-        # Flat numpy mirrors of the per-rank base columns.  The kernel's
-        # scalar paths index the record tuples directly (faster at this
-        # row width), but batched consumers — evaluate_many aggregation,
-        # cone statistics — slice these without re-walking Python tuples.
-        self._root_finish_arr = np.asarray(record.root_finish)
-        self._ready_rank_arr = np.asarray(
-            [trace.ready_rank[iid] for iid in ids], dtype=np.int32
-        )
 
         chain_pred: dict[str, str | None] = {}
         for chain in record.node_chains:
@@ -535,20 +523,6 @@ class EvalContext:
                         self.cone_of(ft, priorities, process),
                     )
         return results
-
-    def pricer(self):
-        """The lazily built vector pricing kernel over this base context.
-
-        Imported on first use: :mod:`repro.schedule.vector` is only needed
-        by the ranking tier, and the import indirection keeps the module
-        graph acyclic.
-        """
-        pricer = self._pricer
-        if pricer is None:
-            from repro.schedule.vector import NeighbourhoodPricer
-
-            pricer = self._pricer = NeighbourhoodPricer(self)
-        return pricer
 
     def delta_record(
         self,

@@ -66,16 +66,11 @@ def group_release_inputs(
     medl_by_id: dict[str, MessageDescriptor],
     mu: float,
     owner: str,
-    missing: list | None = None,
 ):
     """Classify one input group's senders for release pricing.
 
-    This is the single source of truth for the local/masked/fast sender
-    classification both release paths share: the scalar :func:`release_row`
-    below and the vectorized kernel in :mod:`repro.schedule.vector` (which
-    additionally prices *hypothetical* receiver nodes against base-schedule
-    mirrors, so classification drift between the two would silently break
-    the vector tier's error bounds).
+    :func:`release_row` below prices each input group of an instance from
+    this local/masked/fast sender classification.
 
     Returns ``(immune, fast_senders)``:
 
@@ -86,12 +81,9 @@ def group_release_inputs(
       None, no_recovery_row, recovery_step, reexecutions, kill_cost,
       src_iid)`` per replicated remote sender.
 
-    A sender whose fast frame has no MEDL descriptor is an error on the
-    live scheduling path (``missing=None`` raises, bus scheduling out of
-    sync with the FT graph); the vector estimator passes a list instead
-    and receives ``(src_iid, fast_id, guaranteed_id, replicated)`` tuples
-    to price with *estimated* slots (the frame would only exist in the
-    moved design).
+    A remote sender whose fast frame has no MEDL descriptor raises
+    :class:`~repro.errors.SchedulingError`: bus scheduling is out of sync
+    with the FT graph.
     """
     immune: list[tuple[float, int, str]] = []
     fast_senders: list[
@@ -109,14 +101,11 @@ def group_release_inputs(
             continue
         descriptor = medl_by_id.get(fast_id)
         if descriptor is None:
-            if missing is None:
-                raise SchedulingError(
-                    f"no MEDL entry for bus message {fast_id!r} while "
-                    f"releasing {owner!r} (bus scheduling out of sync with "
-                    f"the FT graph)"
-                )
-            missing.append((src_iid, fast_id, guaranteed_id, replicated))
-            continue
+            raise SchedulingError(
+                f"no MEDL entry for bus message {fast_id!r} while "
+                f"releasing {owner!r} (bus scheduling out of sync with "
+                f"the FT graph)"
+            )
         if not replicated:
             # Masked frame: slot lies after the sender's WCF, so within
             # budget k only a terminal kill (impossible for a sole

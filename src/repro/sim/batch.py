@@ -36,7 +36,8 @@ semantics, bit for bit:
 Parity with the scalar engine is a contract, not an accident — the
 hypothesis suite ``tests/sim/test_batch_parity.py`` asserts repr-byte
 equality column by column, including faults-beyond-k and dead-replica
-edges (the same discipline as ``repro/schedule/vector.py``).
+edges (the same discipline as the delta kernel's
+``tests/opt/test_delta_parity.py``).
 """
 
 from __future__ import annotations

@@ -70,8 +70,7 @@ def sweep_trace(tmp_path):
                 shard.close()
     registry = MetricsRegistry()
     registry.inc("evaluator.cache_hits", 30)
-    registry.inc("evaluator.exact_evaluations", 10)
-    registry.inc("evaluator.ranked_evaluations", 60)
+    registry.inc("evaluator.exact_evaluations", 70)
     registry.set("queue.depth.dead", 0)
     driver.snapshot_metrics(registry)
     driver.close()

@@ -6,13 +6,16 @@ pass over the moved design's FT graph — same instance placement order,
 same float arithmetic, same MEDL, same record.  These tests drive random
 cases through random move chains and compare against
 :func:`repro.schedule.list_scheduler.build_schedule_record` field by field,
-plus the two supporting exact-parity contracts the kernel rests on:
+plus the supporting exact-parity contracts the kernel rests on:
 
 * :meth:`EvalContext.moved_priorities` equals a full
   :func:`~repro.schedule.priorities.pcp_priorities` recomputation on the
   overlay graph, bit for bit;
 * :meth:`~repro.schedule.state.SchedulerState.cost_view` equals the sealed
-  record's ``(degree_of_schedulability, makespan)``, bit for bit.
+  record's ``(degree_of_schedulability, makespan)``, bit for bit;
+* :meth:`EvalContext.plan_moves`, the batched planner the evaluator's hot
+  path runs, returns exactly what the scalar :meth:`EvalContext.plan_move`
+  returns for every move.
 """
 
 from __future__ import annotations
@@ -118,6 +121,37 @@ def test_delta_record_byte_identical_along_move_chains(
         assert stats.copied >= 0 and stats.recomputed >= 0
 
         impl = candidate  # chain: the moved design becomes the next base
+
+
+@given(
+    n=st.integers(8, 14),
+    nodes=st.integers(2, 3),
+    k=st.integers(0, 3),
+    seed=st.integers(0, 7),
+)
+@_SLOW
+def test_plan_moves_bit_equal_to_plan_move(n, nodes, k, seed):
+    """The batched planner returns the scalar planner's results exactly:
+    same overlay graphs, bit-equal priority dicts, same cones."""
+    merged, faults, bus, impl = _build(n, nodes, k, seed)
+    context = _capture(merged, faults, bus, impl)
+    moves = generate_moves(
+        merged, faults, impl, context.record.critical_path(), (1, 2, 3)
+    )
+    if not moves:
+        return
+    candidates = []
+    for move in moves:
+        moved = move.apply(impl)
+        candidates.append((moved.policies, moved.mapping, move.process))
+    batched = context.plan_moves(candidates)
+    for candidate, (ft_b, prio_b, cone_b) in zip(candidates, batched):
+        ft_s, prio_s, cone_s = context.plan_move(*candidate)
+        assert repr(sorted(prio_b.items())) == repr(sorted(prio_s.items()))
+        assert cone_b.process == cone_s.process
+        assert cone_b.earliest_rank == cone_s.earliest_rank
+        assert cone_b.changed == cone_s.changed
+        assert set(ft_b.instances) == set(ft_s.instances)
 
 
 def test_delta_record_parity_on_replicated_base():

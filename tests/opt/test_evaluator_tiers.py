@@ -4,15 +4,12 @@ The consolidated surface (see the module docstring of
 :mod:`repro.opt.evaluator`) promises:
 
 * ``evaluations`` counts *pricings not served by the cache* and always
-  equals ``full_evaluations + delta_evaluations + ranked_evaluations``;
+  equals ``full_evaluations + delta_evaluations``;
 * realizing a record for an already-priced design is materialization, not
   evaluation — it moves ``record_rebuilds`` only (or nothing at all when a
   pending scheduler state is sealed);
 * costs are tier-independent: the delta tier and the full tier price every
-  candidate identically, and realized records are byte-equal;
-* the ranking tier (``rank_neighbourhood``) prices estimate-only
-  candidates as ``ranked_evaluations``; its shortlist re-pricings are
-  ordinary delta evaluations, and estimates are never cached.
+  candidate identically, and realized records are byte-equal.
 """
 
 from __future__ import annotations
@@ -114,106 +111,12 @@ class TestTierParity:
             assert a.cost == b.cost
             assert delta_eval.realize(a) == full_eval.realize(b)
 
-    def test_evaluate_delta_matches_cold_candidate_cost(self):
-        merged, faults, impl = _setup()
-        evaluator = Evaluator(merged, faults)
-        moves = _neighbourhood(merged, faults, impl, evaluator)
-        move = moves[0]
-        candidate = evaluator.evaluate_delta(impl, move)
-        cold = Evaluator(merged, faults, cache=False, delta=False)
-        assert candidate.cost == cold.evaluate(move.apply(impl))
-        assert (
-            candidate.implementation.signature()
-            == move.apply(impl).signature()
-        )
-
     def test_context_is_cached_per_base(self):
         merged, faults, impl = _setup()
         evaluator = Evaluator(merged, faults)
         first = evaluator.context_for(impl)
         second = evaluator.context_for(impl.copy())
         assert first is second
-
-
-class TestRankingTierCounters:
-    def test_ranked_evaluations_split(self):
-        merged, faults, impl = _setup()
-        evaluator = Evaluator(merged, faults)
-        moves = _neighbourhood(merged, faults, impl, evaluator)
-        shortlist = 4
-        assert len(moves) > shortlist
-        ranked = evaluator.rank_neighbourhood(impl, moves, shortlist=shortlist)
-        assert len(ranked) == len(moves)
-        exact_priced = [r for r in ranked if r.exact is not None]
-        estimated = [r for r in ranked if r.exact is None]
-        assert len(exact_priced) == shortlist
-        assert len(estimated) == len(moves) - shortlist
-        assert evaluator.delta_evaluations == shortlist
-        assert evaluator.ranked_evaluations == len(estimated)
-        assert evaluator.evaluations == (
-            evaluator.full_evaluations
-            + evaluator.delta_evaluations
-            + evaluator.ranked_evaluations
-        )
-        info = evaluator.cache_info()
-        assert info.exact == (
-            evaluator.full_evaluations + evaluator.delta_evaluations
-        )
-        assert info.ranked == evaluator.ranked_evaluations
-
-    def test_estimates_are_never_cached(self):
-        """Re-pricing after a ranking pass must exact-price exactly the
-        candidates the shortlist skipped — estimates left no cache entry."""
-        merged, faults, impl = _setup()
-        evaluator = Evaluator(merged, faults)
-        moves = _neighbourhood(merged, faults, impl, evaluator)
-        shortlist = 4
-        evaluator.rank_neighbourhood(impl, moves, shortlist=shortlist)
-        delta_before = evaluator.delta_evaluations
-        hits_before = evaluator.cache_hits
-        evaluator.evaluate_many(impl, moves)
-        assert evaluator.delta_evaluations == (
-            delta_before + len(moves) - shortlist
-        )
-        assert evaluator.cache_hits == hits_before + shortlist
-
-    def test_cached_neighbourhood_ranks_all_exact(self):
-        merged, faults, impl = _setup()
-        evaluator = Evaluator(merged, faults)
-        moves = _neighbourhood(merged, faults, impl, evaluator)
-        exact = evaluator.evaluate_many(impl, moves)
-        evaluations = evaluator.evaluations
-        hits = evaluator.cache_hits
-        ranked = evaluator.rank_neighbourhood(impl, moves, shortlist=2)
-        assert evaluator.evaluations == evaluations  # nothing re-priced
-        assert evaluator.ranked_evaluations == 0
-        assert evaluator.cache_hits == hits + len(moves)
-        for candidate, r in zip(exact, ranked):
-            assert r.exact is not None
-            assert r.cost == candidate.cost
-
-    def test_delta_disabled_degenerates_to_evaluate_many(self):
-        merged, faults, impl = _setup()
-        evaluator = Evaluator(merged, faults, cache=False, delta=False)
-        moves = _neighbourhood(
-            merged, faults, impl, Evaluator(merged, faults)
-        )
-        ranked = evaluator.rank_neighbourhood(impl, moves, shortlist=2)
-        assert all(r.exact is not None for r in ranked)
-        assert evaluator.ranked_evaluations == 0
-        assert evaluator.full_evaluations == len(moves)
-
-    def test_ranked_cost_tracks_exact_when_available(self):
-        merged, faults, impl = _setup()
-        evaluator = Evaluator(merged, faults)
-        moves = _neighbourhood(merged, faults, impl, evaluator)
-        ranked = evaluator.rank_neighbourhood(impl, moves, shortlist=3)
-        for r in ranked:
-            if r.exact is not None:
-                assert r.cost == r.exact.cost
-            else:
-                assert r.cost is r.estimate
-                assert r.error >= 0.0
 
 
 class TestCacheOffBehaviour:

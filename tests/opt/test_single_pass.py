@@ -50,7 +50,7 @@ class TestEvaluateFull:
             impl = _random_implementation(rng, merged, base, case.faults, nodes)
             cost, schedule = cached.evaluate_full(impl)
             assert cost == uncached.evaluate(impl)
-            assert cost == cached.cost_of(schedule)
+            assert cost == cached.cost_of_record(schedule.record)
             assert cost.makespan == schedule.makespan
             # A second request is a pure cache hit, never a reschedule: the
             # cache retains the compact record, so the re-materialized view

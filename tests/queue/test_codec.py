@@ -1,5 +1,6 @@
 """JSON wire-format tests: byte-identical round-trips, validated decodes."""
 
+import dataclasses
 import json
 
 import pytest
@@ -12,6 +13,8 @@ from repro.io.queue_codec import (
     canonical_json,
     case_job_from_dict,
     case_job_to_dict,
+    config_from_dict,
+    config_to_dict,
     decode_job,
     decode_result,
     encode_job,
@@ -24,9 +27,38 @@ from repro.model.ftgraph import build_ft_graph
 from repro.opt.strategy import OptimizationConfig, optimize
 from repro.schedule.record import ScheduleRecord
 from repro.sim.validate import validate_record
+from repro.ttp.bus import BusConfig
 
 TINY = OptimizationConfig(
     minimize=True, rounds=1, greedy_max_iterations=3, tabu_max_iterations=2
+)
+
+#: Every OptimizationConfig field set away from its default.
+EVERY_FIELD = OptimizationConfig(
+    greedy_max_iterations=9,
+    tabu_max_iterations=4,
+    tabu_tenure=None,
+    rounds=2,
+    time_limit_s=1.5,
+    ms_per_byte=2.0,
+    bus=BusConfig(("N2", "N1"), {"N1": 4.0, "N2": 6.5}, ms_per_byte=0.5),
+    minimize=True,
+    optimize_bus=True,
+    bus_scale_factors=(0.5, 2.0),
+    cache_size=128,
+)
+
+#: ``encode_job`` text of a job carrying EVERY_FIELD.  Job fingerprints
+#: hash this text, so a change here orphans the checkpoints of existing
+#: broker files under ``--resume``.
+PINNED_JOB_TEXT = (
+    '{"config":{"bus":{"ms_per_byte":0.5,"slot_lengths":{"N1":4.0,"N2":6.5},'
+    '"slot_order":["N2","N1"]},"bus_scale_factors":[0.5,2.0],'
+    '"cache_size":128,"greedy_max_iterations":9,"minimize":true,'
+    '"ms_per_byte":2.0,"optimize_bus":true,"rounds":2,'
+    '"tabu_max_iterations":4,"tabu_tenure":null,"time_limit_s":1.5},'
+    '"k":2,"label":"pinned","mu":1.0,"n_nodes":2,"n_processes":8,"seed":0,'
+    '"time_scale":2.0,"variants":["MXR"],"version":1}'
 )
 
 
@@ -64,6 +96,14 @@ class TestCaseJobRoundTrip:
         assert decoded.config == config
         assert encode_job(decoded) == text
 
+    def test_job_text_is_pinned(self):
+        job = CaseJob(
+            8, 2, 2, 1.0, 0, ("MXR",), time_scale=2.0, config=EVERY_FIELD,
+            label="pinned",
+        )
+        assert encode_job(job) == PINNED_JOB_TEXT
+        assert decode_job(PINNED_JOB_TEXT) == job
+
     def test_fingerprint_depends_on_slot_and_payload(self):
         job = CaseJob(8, 2, 2, 5.0, 0, ("NFT",))
         payload = encode_job(job)
@@ -82,6 +122,30 @@ class TestCaseJobRoundTrip:
         data["version"] = 99
         with pytest.raises(QueueError):
             case_job_from_dict(data)
+
+
+class TestConfigRoundTrip:
+    def test_every_field_round_trips(self):
+        """Fails on any OptimizationConfig field the codec does not encode:
+        a dropped field would decode to its default."""
+        for field in dataclasses.fields(OptimizationConfig):
+            assert getattr(EVERY_FIELD, field.name) != field.default, (
+                f"set {field.name} away from its default in EVERY_FIELD"
+            )
+        data = json.loads(canonical_json(config_to_dict(EVERY_FIELD)))
+        assert config_from_dict(data) == EVERY_FIELD
+
+    def test_missing_field_rejected(self):
+        data = config_to_dict(EVERY_FIELD)
+        del data["cache_size"]
+        with pytest.raises(QueueError, match="cache_size"):
+            config_from_dict(data)
+
+    def test_unknown_field_rejected(self):
+        data = config_to_dict(EVERY_FIELD)
+        data["no_such_knob"] = 8
+        with pytest.raises(QueueError, match="no_such_knob"):
+            config_from_dict(data)
 
 
 class TestRecordRoundTrip:

@@ -1,7 +1,7 @@
 """Parity suite of the batched scenario-replay kernel.
 
 The contract (DESIGN.md, "Batched scenario simulation") is bit-parity,
-the same discipline as ``tests/schedule/test_vector_parity.py``: for any
+the same discipline as ``tests/opt/test_delta_parity.py``: for any
 target and any ``(instances, B)`` failure matrix, every ``run_batch``
 column re-materialized through :meth:`BatchResult.scalarize` is
 ``repr``-byte-equal to the scalar :meth:`SystemSimulator.run` on the
