@@ -1,21 +1,23 @@
 """Shard execution: materialize, simulate, classify, summarize.
 
 A shard never travels with scenarios — only coordinates.  The runner
-re-materializes them locally (rank/unrank for range shards, seeded RNG
-for stratified draws, the deterministic importance list for wave 0) and
-replays them through the target's cached **batched** simulator: blocks
-of ``batch_size`` scenarios become int count matrices
-(:meth:`~repro.inject.space.ScenarioSpace.counts_range` /
-``sample_counts`` / ``counts_matrix``), one
-:meth:`~repro.sim.batch.BatchSimulator.run_batch` call replays every
-column at once, and :class:`~repro.sim.validate.BatchChecker` reduces
-the block to per-kind violation masks.  Only *violating* columns are
-re-materialized as :class:`FaultScenario` objects and re-run through the
-scalar :func:`~repro.sim.validate.check_scenario` — the single
-classification point — so violation counts, messages and exemplar orders
-are byte-identical to a scalar sweep.  ``batch_size=0`` falls back to
-the pure scalar path (the exemplar/replay reference the batch tier is
-tested against).
+re-materializes them locally (an index range for exhaustive shards,
+seeded RNG draws for stratified shards, the deterministic importance
+list for wave 0) and replays them through the target's cached
+**batched** simulator.  Each block of ``batch_size`` scenarios is built
+array-native as one int64 count matrix: range and draw indices go
+through :meth:`~repro.inject.space.ScenarioSpace.counts_range` /
+``sample_counts``, one numpy unrank walk per block with no per-scenario
+Python loop, and importance scenarios through ``counts_matrix``.  One :meth:`~repro.sim.batch.BatchSimulator.run_batch`
+call replays every column at once, and
+:class:`~repro.sim.validate.BatchChecker` reduces the block to per-kind
+violation masks.  Only *violating* columns are re-materialized as
+:class:`FaultScenario` objects and re-run through the scalar
+:func:`~repro.sim.validate.check_scenario` — the single classification
+point — so violation counts, messages and exemplar orders are
+byte-identical to a scalar sweep.  ``batch_size=0`` falls back to the
+pure scalar path (scalar ``unrank`` / ``iter_range``, the reference the
+batch tier is tested against).
 
 Stratified shards simulate each *distinct* drawn scenario once but count
 violations per draw: the draws are the i.i.d. Bernoulli trials the
@@ -213,8 +215,8 @@ def _stratified_trials(space: ScenarioSpace, spec: ShardSpec):
         index = rng.randrange(size)
         multiplicity[index] += 1
         first_offset.setdefault(index, offset)
-    distinct = sorted(first_offset, key=first_offset.get)
-    return distinct, multiplicity, first_offset
+    # Insertion order is first-draw order.
+    return list(first_offset), multiplicity, first_offset
 
 
 # -- scalar reference path ---------------------------------------------------
@@ -291,10 +293,12 @@ def _run_shard_batched(
 ) -> None:
     """Stream the shard through the columnar kernel, block by block.
 
-    Per block: materialize a count matrix, one ``run_batch`` call, one
-    ``BatchChecker`` pass, then scalar re-classification of the (rare)
-    violating columns so messages and exemplar orders match the scalar
-    path exactly.
+    Per block: one array-native materialization of the block's count
+    matrix (``counts_range`` over an index range, ``sample_counts`` over
+    the distinct draws, ``counts_matrix`` over importance scenarios),
+    one ``run_batch`` call, one ``BatchChecker`` pass, then scalar
+    re-classification of the (rare) violating columns so messages and
+    exemplar orders match the scalar path exactly.
     """
     space = _space_of(context, target, fingerprint)
     batch = context.batch

@@ -12,10 +12,15 @@ that space *random access*:
 * within a stratum, scenarios are ordered lexicographically by their
   count vector (the same order the recursive enumerator yields), and a
   rank/unrank bijection maps ``[0, size_t)`` onto them;
-* any contiguous index range of a stratum can be materialized without
-  touching the rest of the space (unrank the first index, then step a
-  bounded-composition successor), which is what makes disjoint shards
-  independently executable on any worker.
+* any index range or draw list of a stratum can be materialized without
+  touching the rest of the space, which is what makes disjoint shards
+  independently executable on any worker:
+  :meth:`ScenarioSpace.counts_range` and
+  :meth:`ScenarioSpace.sample_counts` unrank a whole block in one numpy
+  walk over per-position lookup tables, and
+  :meth:`ScenarioSpace.iter_range` (unrank the first index, then step a
+  bounded-composition successor) and :meth:`ScenarioSpace.unrank` are
+  their scalar reference.
 
 Everything here is a pure function of the sorted ``(instance id,
 capacity)`` list, so two processes that agree on the FT graph agree on
@@ -31,6 +36,8 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.model.ftgraph import FTGraph
 from repro.sim.faults import FaultScenario
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def scenario_key(failures: Mapping[str, int]) -> str:
@@ -70,6 +77,39 @@ class ScenarioSpace:
                     total += nxt[r - f]
                 row[r] = total
         self._suffix = suffix
+        # Lookup tables of the batch unrank walk, indexed [i, f, r] with
+        # f a candidate count at position i and r the remaining budget:
+        # ways = suffix[i+1][r-f] (0 where f > min(cap_i, r)), bounds its
+        # inclusive and prefixes its exclusive cumulative sum over f.
+        # Zero-ways entries repeat the total suffix[i][r], which every
+        # residual index at (i, r) is below, so counting the bounds <= a
+        # residual gives the scalar walk's choice of f.
+        #
+        # No entry at (i, r) exceeds suffix[i][r], which shrinks as i
+        # grows, and stratum t's walk reads budgets r <= t only.  So
+        # stratum t needs Python-int (object) tables only on its first
+        # _wide[t] positions, those with some suffix[i][r <= t] past
+        # int64, and walks int64 tables from there on (their entries
+        # past int64 are clamped; no walk reads them).
+        try:
+            table = np.array(suffix, dtype=np.int64)
+        except OverflowError:
+            table = np.array(suffix, dtype=object)
+        self._wide = (
+            np.maximum.accumulate(table[:n], axis=1) > _INT64_MAX
+        ).sum(axis=0).tolist()
+        spent = np.arange(k + 1)[:, None]
+        budget = np.arange(k + 1)[None, :]
+        fits = spent <= np.minimum(
+            np.array(self.caps, dtype=np.int64)[:, None, None], budget
+        )
+        ways = np.where(fits, table[1:, np.maximum(budget - spent, 0)], 0)
+        bounds = ways.cumsum(axis=1)
+        self._wide_tables = (bounds, bounds - ways)
+        self._tables = tuple(
+            np.minimum(a, _INT64_MAX).astype(np.int64)
+            for a in self._wide_tables
+        )
 
     @classmethod
     def of(cls, ft: FTGraph, k: int) -> "ScenarioSpace":
@@ -200,40 +240,74 @@ class ScenarioSpace:
     def counts_range(self, t: int, lo: int, hi: int) -> np.ndarray:
         """Stratum-``t`` count vectors ``lo..hi`` as an ``(n, hi-lo)`` matrix.
 
-        Column ``j`` is the vector at index ``lo + j`` — the same order
-        :meth:`iter_range` yields, produced by the same unrank-then-step
-        walk, but written straight into an int64 matrix so the batched
-        simulator's hot path allocates no per-scenario tuples or
-        :class:`FaultScenario` objects.
+        Column ``j`` is the vector at index ``lo + j`` — the order
+        :meth:`iter_range` yields — written straight into an int64
+        matrix so the batched simulator's hot path allocates no
+        per-scenario tuples or :class:`FaultScenario` objects.
         """
         size = self.stratum_size(t)
         if not 0 <= lo <= hi <= size:
             raise SimulationError(
                 f"range [{lo}, {hi}) outside stratum {t} (size {size})"
             )
-        # Built transposed — row writes from the successor walk are
-        # contiguous — and returned as a view; run_batch's alignment
-        # gather re-copies into layout order anyway.
-        out = np.empty((hi - lo, len(self.caps)), dtype=np.int64)
-        if lo == hi:
-            return out.T
-        counts = list(self.unrank(t, lo))
-        out[0] = counts
-        for j in range(1, hi - lo):
-            self._advance(counts)
-            out[j] = counts
-        return out.T
+        return self._unrank_walk(
+            t, np.arange(lo, hi, dtype=object if hi > _INT64_MAX else np.int64)
+        )
 
     def sample_counts(self, t: int, indices: Sequence[int]) -> np.ndarray:
         """Arbitrary stratum-``t`` indices as an ``(n, len(indices))`` matrix.
 
-        The stratified tier's draws are not contiguous, so each column is
-        a full unranking; column ``j`` is ``unrank(t, indices[j])``.
+        The stratified tier's draws are not contiguous; column ``j`` is
+        ``unrank(t, indices[j])``.
         """
-        out = np.empty((len(indices), len(self.caps)), dtype=np.int64)
-        for j, index in enumerate(indices):
-            out[j] = self.unrank(t, index)
-        return out.T
+        size = self.stratum_size(t)
+        try:
+            residual = np.array(indices, dtype=np.int64)
+        except OverflowError:  # past int64: only a wide stratum holds them
+            residual = np.array(indices, dtype=object)
+        outside = (residual < 0) | (residual >= size)
+        if outside.any():
+            raise SimulationError(
+                f"index {residual[outside.argmax()]} outside stratum {t} "
+                f"(size {size})"
+            )
+        return self._unrank_walk(t, residual)
+
+    def _unrank_walk(self, t: int, indices: np.ndarray) -> np.ndarray:
+        """``unrank(t, i)`` of every in-range index ``i``, as int64 columns.
+
+        One step per instance position does the whole block at once: it
+        gathers each column's bound row by its remaining budget, counts
+        the bounds <= its residual index (that count is the column's
+        fault count there), then subtracts the exclusive prefix and
+        spends the budget.  Positions before ``_wide[t]`` step on
+        Python-int residuals and tables, the rest on int64.
+        """
+        n = len(self.caps)
+        counts = np.empty((n, len(indices)), dtype=np.int64)
+        budget = np.full(len(indices), t, dtype=np.int64)
+        residual = indices
+        wide = self._wide[t]
+        for (bounds, prefixes), positions in (
+            (self._wide_tables, range(wide)),
+            (self._tables, range(wide, n)),
+        ):
+            if not positions:
+                continue
+            residual = residual.astype(bounds.dtype)
+            for i in positions:
+                # (t, B) bounds of each column's budget (rows f >= t
+                # hold the total, which no residual reaches); summing
+                # the bool compare down axis 0 keeps the reduction
+                # vectorized over B.
+                f = np.add.reduce(
+                    bounds[i, :t].take(budget, axis=1) <= residual,
+                    axis=0, dtype=np.int64,
+                )
+                counts[i] = f
+                residual -= prefixes[i, f, budget]
+                budget -= f
+        return counts
 
     def counts_matrix(self, scenarios: Sequence[FaultScenario]) -> np.ndarray:
         """Explicit scenarios (e.g. the importance list) as a count matrix."""

@@ -4,6 +4,9 @@ Property-tested guarantees every other inject module builds on:
 
 * rank/unrank is a bijection per stratum, in the exact lexicographic
   order of :func:`repro.sim.faults.enumerate_scenarios`;
+* the batched materializers (``counts_range`` / ``sample_counts``)
+  return exactly the scalar reference's count vectors, column by column,
+  including spaces whose strata outgrow int64;
 * shards of a partition are pairwise disjoint and union-complete;
 * shard fingerprints are pure functions of (target fingerprint, shard
   coordinates) — stable across processes (no interpreter-hash leakage).
@@ -15,9 +18,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SimulationError
 from repro.inject.partition import ShardSpec, partition_stratum, shard_fingerprint
 from repro.inject.space import ScenarioSpace, scenario_key
 
@@ -79,6 +85,81 @@ def test_shards_disjoint_and_union_complete(caps, k, shard_size):
             seen.extend(chunk)
         # Disjoint + complete + ordered == exactly the enumeration.
         assert seen == brute_force_stratum([min(c, k) for c in caps], t)
+
+
+def stacked(vectors: list[tuple[int, ...]], n: int) -> np.ndarray:
+    """Scalar count vectors as the ``(n, B)`` matrix the batch path returns."""
+    return np.array(vectors, dtype=np.int64).reshape(len(vectors), n).T
+
+
+def assert_count_matrix(matrix: np.ndarray, expected: np.ndarray) -> None:
+    assert matrix.dtype == np.int64
+    assert matrix.shape == expected.shape
+    assert np.array_equal(matrix, expected)
+
+
+@given(
+    caps=caps_strategy,
+    k=st.integers(min_value=0, max_value=5),
+    data=st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_batched_materialization_matches_scalar(caps, k, data):
+    space = ScenarioSpace(capacities=named(caps), k=k)
+    n = len(caps)
+    for t in range(k + 1):
+        size = space.stratum_size(t)
+        # Whole stratum, a random (possibly empty) range, an empty range
+        # at the far end.
+        lo = data.draw(st.integers(min_value=0, max_value=size))
+        hi = data.draw(st.integers(min_value=lo, max_value=size))
+        for a, b in ((0, size), (lo, hi), (size, size)):
+            assert_count_matrix(
+                space.counts_range(t, a, b),
+                stacked(list(space.iter_range(t, a, b)), n),
+            )
+        # Unsorted draws with repeats, as the stratified tier makes them
+        # (strata past the capacity total are empty).
+        indices = data.draw(
+            st.lists(st.integers(min_value=0, max_value=size - 1),
+                     max_size=12)
+        ) if size else []
+        indices += indices[:2]
+        assert_count_matrix(
+            space.sample_counts(t, indices),
+            stacked([space.unrank(t, i) for i in indices], n),
+        )
+        for bad in (-1, size, 2**64):
+            with pytest.raises(SimulationError, match="outside stratum"):
+                space.sample_counts(t, [0, bad] if size else [bad])
+
+
+def test_batched_materialization_past_int64():
+    """Stratum sizes beyond 2**63 walk Python ints where int64 overflows."""
+    space = ScenarioSpace(capacities=named([11] * 400), k=10)
+    size = space.stratum_size(10)
+    assert size == 32_308_197_757_577_553_240
+    assert size > 2**63
+    below = space.stratum_size(9)
+    assert below < 2**63
+    # Strata 0-9 walk int64 tables only.  Stratum 10 walks Python ints
+    # only on the leading positions whose suffix counts pass int64.
+    assert space._wide == [0] * 10 + [48]
+    indices = [0, 2**63, size - 1]
+    assert_count_matrix(
+        space.sample_counts(10, indices),
+        stacked([space.unrank(10, i) for i in indices], 400),
+    )
+    for t, lo, hi in ((10, 0, 3), (10, size - 3, size), (1, 0, 400),
+                      (2, 1000, 1100), (9, below - 3, below)):
+        assert_count_matrix(
+            space.counts_range(t, lo, hi),
+            stacked(list(space.iter_range(t, lo, hi)), 400),
+        )
+    with pytest.raises(SimulationError, match="outside stratum"):
+        space.sample_counts(10, [size])
+    with pytest.raises(SimulationError, match="outside stratum"):
+        space.sample_counts(9, [2**63])
 
 
 def test_space_matches_enumerate_scenarios(small_target):
