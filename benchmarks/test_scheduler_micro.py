@@ -20,9 +20,11 @@ from pathlib import Path
 import pytest
 
 from repro.gen.suite import generate_case
+from repro.model.ftgraph import build_ft_graph
 from repro.model.merge import merge_application
 from repro.opt.evaluator import Evaluator
 from repro.opt.initial import initial_bus_access, initial_mpa
+from repro.schedule.list_scheduler import build_schedule_record
 from repro.sim.engine import SystemSimulator
 from repro.sim.faults import FAULT_FREE
 
@@ -33,23 +35,30 @@ def _setup(n, nodes, k):
     case = generate_case(n, nodes, k, mu=5.0, seed=0)
     merged = merge_application(case.application)
     bus = initial_bus_access(case.application, case.architecture)
-    evaluator = Evaluator(merged, case.faults, cache=False)
+    evaluator = Evaluator(merged, case.faults, cache_size=0)
     impl = initial_mpa(merged, case.architecture, case.faults, bus)
     return evaluator, impl
+
+
+def _cold_pass(merged, faults, impl):
+    """One cold pricing: FT expansion, list scheduling, cost derivation."""
+    ft = build_ft_graph(merged, impl.policies, impl.mapping, faults)
+    record = build_schedule_record(merged, ft, faults, impl.bus)
+    return record.degree_of_schedulability(), record.makespan
 
 
 @pytest.mark.parametrize("n,nodes,k", [(20, 2, 3), (60, 4, 5), (100, 6, 7)])
 def test_schedule_evaluation_throughput(benchmark, n, nodes, k):
     """Full schedule + (k, µ) worst-case analysis of one implementation."""
     evaluator, impl = _setup(n, nodes, k)
-    benchmark(evaluator.evaluate, impl)
+    benchmark(evaluator.evaluate_record, impl)
 
 
 @pytest.mark.parametrize("n,nodes,k", [(20, 2, 3), (60, 4, 5)])
 def test_fault_injection_throughput(benchmark, n, nodes, k):
     """One simulated cycle of a synthesized schedule (fault-free scenario)."""
     evaluator, impl = _setup(n, nodes, k)
-    schedule = evaluator.schedule(impl)
+    schedule = evaluator.evaluate_full(impl)[1]
     simulator = SystemSimulator(schedule)
     benchmark(simulator.run, FAULT_FREE)
 
@@ -83,7 +92,7 @@ def test_pipeline_throughput_records_bench_json():
 
     * ``evaluations_per_sec`` — the headline: candidate design points
       priced per second by the *delta evaluation kernel*
-      (``Evaluator.evaluate_many``, cache disabled) over the critical-path
+      (``Evaluator.evaluate_many``, ``cache_size=0``) over the critical-path
       move neighbourhood of the 40-process case.  Each pricing is a
       cone-suffix replay against the shared base context; no schedule
       record is sealed.  This is the throughput one search iteration
@@ -92,8 +101,8 @@ def test_pipeline_throughput_records_bench_json():
       by cold full passes; the headline divided by this is the delta
       kernel's measured speedup on identical work.
     * ``full_evaluations_per_sec`` — the pre-delta headline (repeated cold
-      evaluation of the initial implementation, cache disabled), kept for
-      trajectory continuity with earlier PRs.
+      pricing of the initial implementation), kept for trajectory
+      continuity with earlier PRs.
     * ``pipeline`` — a miniature MXR strategy run (greedy + tabu, no time
       limit) measured through the caching pipeline: evaluation requests
       per second and the cache hit rate the strategy achieves.
@@ -123,7 +132,7 @@ def test_pipeline_throughput_records_bench_json():
 
     # Headline: delta-kernel pricing (capture amortized inside the window,
     # cache disabled so every window re-prices every candidate).
-    delta_eval = Evaluator(merged, case.faults, cache=False)
+    delta_eval = Evaluator(merged, case.faults, cache_size=0)
     delta_eval.evaluate_many(impl, moves)  # warm-up (and context capture)
     delta_elapsed = _best_of(
         3, lambda: delta_eval.evaluate_many(impl, moves)
@@ -131,34 +140,32 @@ def test_pipeline_throughput_records_bench_json():
     evaluations_per_sec = len(moves) / delta_elapsed
 
     # The same neighbourhood, cold: one full list-scheduling pass each.
-    cold_eval = Evaluator(merged, case.faults, cache=False, delta=False)
     candidates = [move.apply(impl) for move in moves]
-    cold_eval.evaluate(candidates[0])  # warm-up
+    _cold_pass(merged, case.faults, candidates[0])  # warm-up
 
     def _cold_window():
         for candidate in candidates:
-            cold_eval.evaluate(candidate)
+            _cold_pass(merged, case.faults, candidate)
 
     cold_elapsed = _best_of(3, _cold_window)
     cold_per_sec = len(moves) / cold_elapsed
 
     # Pre-delta headline, unchanged definition: repeated cold evaluation
     # of the initial implementation.
-    raw = Evaluator(merged, case.faults, cache=False, delta=False)
-    raw.evaluate(impl)  # warm-up
+    _cold_pass(merged, case.faults, impl)  # warm-up
     n_raw = 60
 
     def _raw_window():
         for _ in range(n_raw):
-            raw.evaluate(impl)
+            _cold_pass(merged, case.faults, impl)
 
     full_evaluations_per_sec = n_raw / _best_of(3, _raw_window)
 
     # Cached-evaluator statistics come from the public cache_info() (hits/
     # misses/size/bound a la functools.lru_cache), not private fields.
     cached = Evaluator(merged, case.faults)
-    cached.evaluate(impl)
-    cached.evaluate(impl)
+    cached.evaluate_record(impl)
+    cached.evaluate_record(impl)
     info = cached.cache_info()
     assert info.hits == 1 and info.misses == 1 and info.size == 1
 

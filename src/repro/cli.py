@@ -291,7 +291,10 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=_jobs_arg,
         default=1,
-        help="local worker processes when driving through --broker",
+        help=(
+            "local worker processes when driving through --broker "
+            "(without --broker only 1 is accepted)"
+        ),
     )
     inject.add_argument(
         "--json",
@@ -573,6 +576,8 @@ def _run_inject(args: argparse.Namespace, parser, progress) -> int:
 
     if args.resume and args.broker is None:
         parser.error("--resume requires --broker")
+    if args.jobs != 1 and args.broker is None:
+        parser.error("--jobs N requires --broker")
 
     with obs.span("target"):
         case = generate_case(

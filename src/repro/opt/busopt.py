@@ -31,7 +31,7 @@ def optimize_bus_access(
     later slot-end delivery times).
     """
     best = implementation
-    best_cost = evaluator.evaluate(implementation)
+    best_cost = evaluator.evaluate_record(implementation)[0]
 
     for _ in range(max_rounds):
         candidate, candidate_cost = _best_neighbour(
@@ -62,7 +62,7 @@ def _best_neighbour(
             mapping=implementation.mapping,
             bus=new_bus,
         )
-        cost = evaluator.evaluate(candidate)
+        cost = evaluator.evaluate_record(candidate)[0]
         if cost.is_better_than(best_cost):
             best = candidate
             best_cost = cost

@@ -1,38 +1,37 @@
 """Candidate evaluation: schedule an implementation and price it.
 
-This is the single documented evaluation surface of the optimizer (the
-``evaluate``/``evaluate_full``/``cost_of_record`` trio of earlier revisions
-is kept as thin shims over it).  Every cost it returns is exact: equal,
-bit for bit, to the cost of a cold list-scheduling pass of the design.
+This is the optimizer's one evaluation surface.  Every cost it returns is
+exact: equal, bit for bit, to the cost of a cold list-scheduling pass of
+the design.
 
 * :meth:`Evaluator.evaluate_record` — canonical single-candidate path:
   ``(Cost, ScheduleRecord)`` from one cold list-scheduling pass, LRU-cached
   by the implementation's canonical signature.
 * :meth:`Evaluator.evaluate_many` — the search hot path: a whole
   neighbourhood of single-process moves priced against one shared
-  :class:`~repro.schedule.incremental.EvalContext` via delta re-scheduling
-  (one cold pass per candidate when the delta kernel is disabled).
-  Candidates are priced *without sealing a record*
+  :class:`~repro.schedule.incremental.EvalContext` (:meth:`context_for`)
+  via delta re-scheduling.  Candidates are priced *without sealing a record*
   (:meth:`~repro.schedule.state.SchedulerState.cost_view`); the caller
   seals only the candidates it actually follows via :meth:`realize`.
-* :meth:`Evaluator.evaluate_full` / :meth:`schedule` — materialized
-  :class:`~repro.schedule.table.SystemSchedule` views for validation,
-  rendering and final results.  ``evaluate_full`` always runs or rebinds a
-  *cold* full pass and is the golden-parity fallback for the delta kernel
-  (the parity suite asserts delta records equal it byte-for-byte).
+* :meth:`Evaluator.evaluate_full` — the materialized
+  :class:`~repro.schedule.table.SystemSchedule` view for validation,
+  rendering and final results.  It always runs or rebinds a *cold* full
+  pass, the reference the delta parity suite checks delta records
+  against byte for byte.
 
-Caching: results are cached by design signature in a bounded LRU.  An entry
-holds the cost and, when one was ever sealed, the compact schedule record;
-delta-priced entries start record-less and are filled in on first
-:meth:`realize`.  Cost parity between delta and full passes is exact (see
-``cost_view``), so a cache entry's cost never depends on which pass priced
-it.
+Caching: results are cached by design signature in a bounded LRU
+(``cache_size=0`` disables it).  An entry holds the cost and, when one was
+ever sealed, the compact schedule record; delta-priced entries start
+record-less and are filled in on first :meth:`realize`.  Cost parity
+between delta and full passes is exact (see ``cost_view``), so a cache
+entry's cost never depends on which pass priced it.
 
 Counters: ``evaluations`` counts *pricings of designs not served by the
 cache* and always equals ``full_evaluations + delta_evaluations``.
 Sealing a record for an already-priced design (``realize``, or a view
 request hitting a record-less entry) is materialization, not evaluation:
-it is counted in ``record_rebuilds`` instead.
+it is counted in ``record_rebuilds`` instead.  :meth:`cache_info` and
+:meth:`publish_metrics` report them.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from typing import Iterable, NamedTuple
 
 from repro.model.application import ProcessGraph
 from repro.model.fault import FaultModel
-from repro.model.ftgraph import build_ft_graph
+from repro.model.ftgraph import FTGraph, build_ft_graph
 from repro.opt.cost import Cost
 from repro.opt.implementation import Implementation
 from repro.opt.moves import Move
@@ -66,7 +65,7 @@ from repro.schedule.table import SystemSchedule
 #: equal wall-clock.  See DESIGN.md.
 DEFAULT_CACHE_SIZE = 4096
 
-#: Bound of the base-context LRU used by :meth:`Evaluator.evaluate_many`.
+#: Bound of the base-context LRU of :meth:`Evaluator.context_for`.
 #: The search advances one base per iteration, but tabu oscillation can
 #: bounce between a couple of recent bases; contexts are an order of
 #: magnitude heavier than records (trace + snapshots), so the bound is
@@ -91,13 +90,13 @@ class CandidateEval:
     is deferred until :meth:`Evaluator.realize` is called for the (usually
     single) candidate the search follows.  ``_state`` holds the completed
     but unsealed scheduler state of a fresh delta pricing; ``_record`` is
-    set when the record already exists (cache hit or full-path pricing).
+    set when the record already exists (a cache hit).
     """
 
     move: Move
     implementation: Implementation
     cost: Cost
-    _signature: tuple | None = None
+    _signature: tuple
     _state: SchedulerState | None = None
     _record: ScheduleRecord | None = None
 
@@ -109,10 +108,7 @@ class Evaluator:
         self,
         merged: ProcessGraph,
         faults: FaultModel,
-        cache: bool = True,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        delta: bool = True,
-        context_cache_size: int = DEFAULT_CONTEXT_CACHE_SIZE,
     ) -> None:
         self.merged = merged
         self.faults = faults
@@ -124,12 +120,9 @@ class Evaluator:
         self._cache_size = cache_size
         # Entry layout: [Cost, ScheduleRecord | None] — a mutable pair so
         # realize() can fill the record into an existing entry in place.
-        self._cache: (
-            OrderedDict[tuple, list] | None
-        ) = OrderedDict() if cache else None
-        self._delta = delta
-        self._context_cache_size = context_cache_size
+        self._cache: OrderedDict[tuple, list] = OrderedDict()
         self._contexts: OrderedDict[tuple, EvalContext] = OrderedDict()
+        self._published: dict[str, int] = {}
 
     # -- canonical single-candidate path ------------------------------------
 
@@ -147,48 +140,49 @@ class Evaluator:
         callers rebuild it then, but a miss hands its FT graph on so the
         expansion is never done twice for one request.
         """
-        cache = self._cache
-        signature = None
-        if cache is not None:
-            signature = implementation.signature()
-            entry = cache.get(signature)
-            if entry is not None:
-                cache.move_to_end(signature)
-                self.cache_hits += 1
-                if entry[1] is None:
-                    # Delta-priced entry that was never sealed: the cost is
-                    # final, only the record is materialized (and memoized)
-                    # now.
-                    entry[1] = self._rebuild_record(implementation)
-                return entry[0], entry[1], None
+        signature = implementation.signature()
+        entry = self._lookup(signature)
+        if entry is not None:
+            if entry[1] is None:
+                # Delta-priced entry that was never sealed: the cost is
+                # final, only the record is materialized (and memoized) now.
+                entry[1] = self._rebuild_record(implementation)
+            return entry[0], entry[1], None
         self.evaluations += 1
         self.full_evaluations += 1
-        ft = build_ft_graph(
+        ft = self._ft_graph(implementation)
+        record = build_schedule_record(
+            self.merged, ft, self.faults, implementation.bus
+        )
+        cost = _cost(record.degree_of_schedulability(), record.makespan)
+        self._store(signature, [cost, record])
+        return cost, record, ft
+
+    def _ft_graph(self, implementation: Implementation) -> FTGraph:
+        return build_ft_graph(
             self.merged,
             implementation.policies,
             implementation.mapping,
             self.faults,
         )
-        record = build_schedule_record(
-            self.merged, ft, self.faults, implementation.bus
-        )
-        cost = self.cost_of_record(record)
-        if cache is not None:
-            self._store(signature, [cost, record])
-        return cost, record, ft
 
     def _rebuild_record(self, implementation: Implementation) -> ScheduleRecord:
         """Cold record for an already-priced design (not an evaluation)."""
         self.record_rebuilds += 1
-        ft = build_ft_graph(
-            self.merged,
-            implementation.policies,
-            implementation.mapping,
-            self.faults,
-        )
         return build_schedule_record(
-            self.merged, ft, self.faults, implementation.bus
+            self.merged,
+            self._ft_graph(implementation),
+            self.faults,
+            implementation.bus,
         )
+
+    def _lookup(self, signature: tuple) -> list | None:
+        """The cache entry of ``signature``, counted as a hit when present."""
+        entry = self._cache.get(signature)
+        if entry is not None:
+            self._cache.move_to_end(signature)
+            self.cache_hits += 1
+        return entry
 
     def _store(self, signature: tuple, entry: list) -> None:
         cache = self._cache
@@ -209,25 +203,26 @@ class Evaluator:
         contexts = self._contexts
         context = contexts.get(signature)
         if context is None:
-            ft = build_ft_graph(
-                self.merged,
-                implementation.policies,
-                implementation.mapping,
-                self.faults,
-            )
             context = EvalContext.capture(
-                self.merged, ft, self.faults, implementation.bus
+                self.merged,
+                self._ft_graph(implementation),
+                self.faults,
+                implementation.bus,
             )
             contexts[signature] = context
-            if len(contexts) > self._context_cache_size:
+            if len(contexts) > DEFAULT_CONTEXT_CACHE_SIZE:
                 contexts.popitem(last=False)
-            if self._cache is not None and signature not in self._cache:
+            if signature not in self._cache:
                 # The capture pass produced the base's sealed record anyway;
                 # keep it (a side effect of capturing, not a priced
                 # evaluation request, so no counter moves).
+                record = context.record
                 self._store(
                     signature,
-                    [self.cost_of_record(context.record), context.record],
+                    [
+                        _cost(record.degree_of_schedulability(), record.makespan),
+                        record,
+                    ],
                 )
         else:
             contexts.move_to_end(signature)
@@ -239,35 +234,21 @@ class Evaluator:
         """Price a whole neighbourhood of ``base`` (the search hot path).
 
         One :class:`EvalContext` capture of ``base`` is shared by every
-        move; cache misses are *planned* as a batch
-        (:meth:`EvalContext.plan_moves` shares the per-process
-        ancestor-closure priority work) and each costs one delta replay
-        *without* sealing.  With the delta tier disabled each miss costs
-        one cold full pass instead.  The order of the result matches
-        ``moves``.
+        move; each cache miss is planned against it
+        (:meth:`EvalContext.plan_moves`) and costs one delta replay
+        *without* sealing.  The order of the result matches ``moves``.
         """
         moves = list(moves)
-        context = self.context_for(base) if self._delta else None
+        context = self.context_for(base)
         results: list[CandidateEval | None] = [None] * len(moves)
-        pending: list[tuple[int, Implementation, tuple | None]] = []
-        cache = self._cache
+        pending: list[tuple[int, Implementation, tuple]] = []
         for index, move in enumerate(moves):
             candidate = move.apply(base)
-            signature = None
-            if cache is not None:
-                signature = candidate.signature()
-                entry = cache.get(signature)
-                if entry is not None:
-                    cache.move_to_end(signature)
-                    self.cache_hits += 1
-                    results[index] = CandidateEval(
-                        move, candidate, entry[0], signature, None, entry[1]
-                    )
-                    continue
-            if context is None:
-                cost, record, _ = self._evaluate(candidate)
+            signature = candidate.signature()
+            entry = self._lookup(signature)
+            if entry is not None:
                 results[index] = CandidateEval(
-                    move, candidate, cost, signature, None, record
+                    move, candidate, entry[0], signature, None, entry[1]
                 )
             else:
                 pending.append((index, candidate, signature))
@@ -284,14 +265,10 @@ class Evaluator:
                     candidate.policies, candidate.mapping, move.process,
                     plan=plan,
                 )
-                degree, makespan = state.cost_view()
-                cost = Cost(
-                    schedulable=degree == 0.0, degree=degree, makespan=makespan
-                )
+                cost = _cost(*state.cost_view())
                 self.evaluations += 1
                 self.delta_evaluations += 1
-                if signature is not None:
-                    self._store(signature, [cost, None])
+                self._store(signature, [cost, None])
                 results[index] = CandidateEval(
                     move, candidate, cost, signature, state, None
                 )
@@ -314,18 +291,14 @@ class Evaluator:
             else:
                 record = self._rebuild_record(candidate.implementation)
             candidate._record = record
-            cache = self._cache
-            if cache is not None and candidate._signature is not None:
-                entry = cache.get(candidate._signature)
-                if entry is not None:
-                    entry[1] = record
-                else:
-                    self._store(
-                        candidate._signature, [candidate.cost, record]
-                    )
+            entry = self._cache.get(candidate._signature)
+            if entry is not None:
+                entry[1] = record
+            else:
+                self._store(candidate._signature, [candidate.cost, record])
         return record
 
-    # -- materialized views (golden-parity fallback tier) -------------------
+    # -- materialized views (golden-parity reference) -----------------------
 
     def evaluate_full(
         self, implementation: Implementation
@@ -333,49 +306,17 @@ class Evaluator:
         """Cost and materialized schedule view of ``implementation``.
 
         Always a *cold* full pass (or the cached record of one): this is
-        the golden-parity fallback the delta tier is checked against.  On a
-        cache hit the record is rebound to a freshly expanded FT graph — a
-        few percent of a scheduling pass — so only callers that actually
+        the golden-parity reference the delta tier is checked against.  On
+        a cache hit the record is rebound to a freshly expanded FT graph —
+        a few percent of a scheduling pass — so only callers that actually
         render, simulate or hand the schedule on pay for views.
         """
         cost, record, ft = self._evaluate(implementation)
         if ft is None:
-            return cost, self.materialize(implementation, record)
+            ft = self._ft_graph(implementation)
         return cost, SystemSchedule.from_record(
             record, self.merged, ft, self.faults, implementation.bus
         )
-
-    def materialize(
-        self, implementation: Implementation, record: ScheduleRecord
-    ) -> SystemSchedule:
-        """Bind ``record`` to its model context as a lazy view."""
-        ft = build_ft_graph(
-            self.merged,
-            implementation.policies,
-            implementation.mapping,
-            self.faults,
-        )
-        return SystemSchedule.from_record(
-            record, self.merged, ft, self.faults, implementation.bus
-        )
-
-    def schedule(self, implementation: Implementation) -> SystemSchedule:
-        """Full schedule view for ``implementation`` (record LRU-cached)."""
-        return self.evaluate_full(implementation)[1]
-
-    # -- thin shims over the canonical surface ------------------------------
-
-    def cost_of_record(self, record: ScheduleRecord) -> Cost:
-        degree = record.degree_of_schedulability()
-        return Cost(
-            schedulable=degree == 0.0,
-            degree=degree,
-            makespan=record.makespan,
-        )
-
-    def evaluate(self, implementation: Implementation) -> Cost:
-        """Cost of ``implementation`` (cached by design signature)."""
-        return self.evaluate_record(implementation)[0]
 
     # -- statistics ----------------------------------------------------------
 
@@ -384,30 +325,24 @@ class Evaluator:
         return CacheInfo(
             hits=self.cache_hits,
             misses=self.evaluations,
-            size=0 if self._cache is None else len(self._cache),
-            bound=0 if self._cache is None else self._cache_size,
+            size=len(self._cache),
+            bound=self._cache_size,
         )
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of evaluation requests served from the cache."""
-        total = self.evaluations + self.cache_hits
-        if total == 0:
-            return 0.0
-        return self.cache_hits / total
 
     def publish_metrics(self, registry=None) -> None:
         """Publish counter deltas since the last publish into the registry.
 
         Deltas (not absolutes) so several evaluators in one process — one
         per root-schedule alternative under ``optimize`` — accumulate
-        rather than overwrite.  Gauges describe *this* evaluator's cache.
+        rather than overwrite.  Gauges describe *this* evaluator's cache;
+        ``evaluator.cache.hit_rate`` is the fraction of evaluation
+        requests it served.
         """
         if registry is None:
             from repro.obs.metrics import get_registry
 
             registry = get_registry()
-        published = getattr(self, "_published", None)
+        published = self._published
         current = {
             "evaluator.cache_hits": self.cache_hits,
             "evaluator.exact_evaluations": (
@@ -418,11 +353,20 @@ class Evaluator:
             "evaluator.record_rebuilds": self.record_rebuilds,
         }
         for name, value in current.items():
-            previous = published.get(name, 0) if published else 0
+            previous = published.get(name, 0)
             if value > previous:
                 registry.inc(name, value - previous)
         self._published = current
         info = self.cache_info()
+        requests = info.hits + info.misses
         registry.set("evaluator.cache.size", info.size)
         registry.set("evaluator.cache.bound", info.bound)
-        registry.set("evaluator.cache.hit_rate", self.cache_hit_rate)
+        registry.set(
+            "evaluator.cache.hit_rate",
+            info.hits / requests if requests else 0.0,
+        )
+
+
+def _cost(degree: float, makespan: float) -> Cost:
+    """The cost of a schedule with this deadline overshoot and length."""
+    return Cost(schedulable=degree == 0.0, degree=degree, makespan=makespan)

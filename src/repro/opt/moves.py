@@ -18,16 +18,13 @@ moves, members of ``P_X``/``P_R`` no policy moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.model.application import ProcessGraph
 from repro.model.fault import FaultModel
 from repro.model.policy import Policy
 from repro.opt.implementation import Implementation
 from repro.opt.initial import place_replicas
-
-if TYPE_CHECKING:
-    from repro.schedule.incremental import EvalContext, MoveCone
 
 
 @dataclass(frozen=True)
@@ -41,23 +38,6 @@ class Move:
 
     def apply(self, implementation: Implementation) -> Implementation:
         return implementation.with_move(self.process, self.nodes, self.policy)
-
-    def cone(
-        self, context: "EvalContext", implementation: Implementation
-    ) -> "MoveCone":
-        """This move's impact cone against a captured base schedule.
-
-        ``context`` must be the :class:`EvalContext` of ``implementation``.
-        The cone names the moved process, the earliest base placement rank
-        the move can affect (everything below it is byte-reusable by the
-        delta kernel) and the seed set of changed instances — see
-        :meth:`repro.schedule.incremental.EvalContext.cone_of` for the
-        exact rules.
-        """
-        candidate = self.apply(implementation)
-        return context.plan_move(
-            candidate.policies, candidate.mapping, self.process
-        )[2]
 
 
 def generate_moves(

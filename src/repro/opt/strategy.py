@@ -320,7 +320,7 @@ def _optimize_moves(
 
     result.implementation = current
     result.cost = cost
-    result.schedule = evaluator.schedule(current)
+    result.schedule = evaluator.evaluate_full(current)[1]
     result.evaluations = evaluator.evaluations
     result.cache_hits = evaluator.cache_hits
     return result

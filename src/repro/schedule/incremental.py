@@ -42,13 +42,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-import numpy as np
-
 from repro.model.application import ProcessGraph
 from repro.model.fault import FaultModel
 from repro.model.ftgraph import FTGraph, ft_graph_with_move
 from repro.model.mapping import ReplicaMapping
 from repro.model.policy import PolicyAssignment
+from repro.schedule.priorities import instance_weight
 from repro.schedule.record import (
     BIND_INPUT,
     BIND_NODE,
@@ -59,7 +58,6 @@ from repro.schedule.state import (
     SchedulerSnapshot,
     SchedulerState,
     ScheduleTrace,
-    release_row,
 )
 from repro.ttp.bus import BusConfig
 
@@ -186,19 +184,16 @@ class EvalContext:
         ft: FTGraph,
         faults: FaultModel,
         bus: BusConfig,
-        *,
-        stride: int | None = None,
     ) -> "EvalContext":
-        """Run one traced cold schedule, snapshotting every ``stride`` ranks.
+        """Run one traced cold schedule, snapshotting periodically.
 
         The sealed record is byte-identical to an untraced
         ``build_schedule_record`` — tracing only observes.
         """
-        if stride is None:
-            # Denser snapshots help small problems (every restore skips
-            # more of the prefix proportionally); for big ones the snapshot
-            # copies themselves would dominate, so space them out.
-            stride = max(8, len(ft) // 8)
+        # Denser snapshots help small problems (every restore skips more of
+        # the prefix proportionally); for big ones the snapshot copies
+        # themselves would dominate, so space them out.
+        stride = max(8, len(ft) // 8)
         trace = ScheduleTrace()
         state = SchedulerState(graph, ft, faults, bus, trace=trace)
         snapshots: list[tuple[int, SchedulerSnapshot, dict[str, int]]] = []
@@ -231,7 +226,7 @@ class EvalContext:
         moved_priorities: dict[str, float],
         process: str,
     ) -> MoveCone:
-        """Exact impact cone of a single-process change (see Move.cone)."""
+        """Exact impact cone of a single-process change (see MoveCone)."""
         ready_rank = self.trace.ready_rank
         base_priorities = self.priorities
         changed: set[str] = set(self.ft.group_of[process])
@@ -315,9 +310,10 @@ class EvalContext:
         Only the moved process's instances and their ancestors can change
         priority (a non-ancestor's longest path to a sink never runs
         through the moved process), so the base mapping is copied and just
-        those entries are recomputed — with the exact arithmetic of
-        :func:`repro.schedule.priorities.pcp_priorities`, so every value is
-        bit-equal to a full recomputation on ``moved_ft``.
+        those entries are recomputed — with the vertex weight
+        (:func:`~repro.schedule.priorities.instance_weight`) and tail
+        arithmetic of :func:`~repro.schedule.priorities.pcp_priorities`, so
+        every value is bit-equal to a full recomputation on ``moved_ft``.
         """
         priorities = dict(self.priorities)
         for iid in self.ft.group_of[process]:
@@ -331,10 +327,7 @@ class EvalContext:
             *self._ancestor_instances(process),
         ):
             instance = instances[iid]
-            weight = (
-                instance.wcet * (1 + instance.reexecutions)
-                + instance.reexecutions * mu
-            )
+            weight = instance_weight(instance.wcet, instance.reexecutions, mu)
             best_tail = 0.0
             for succ in succ_of[iid]:
                 edge = (
@@ -347,120 +340,6 @@ class EvalContext:
                     best_tail = tail
             priorities[iid] = weight + best_tail
         return priorities
-
-    def _moved_priorities_batch(
-        self, fts: list[FTGraph], process: str
-    ) -> list[dict[str, float]]:
-        """:meth:`moved_priorities` for many overlays of one process at once.
-
-        All overlays share the ancestor closure and visit order, every
-        ancestor's PCP weight is computed once, and non-parent ancestors —
-        whose successor lists the overlays share with the base by
-        reference — fold their per-overlay tails as ``(G,)`` numpy maxima.
-        Values are bit-equal to the scalar path: float ``max`` is
-        order-independent-exact and the ``edge + priority`` /
-        ``weight + best`` additions are the same float64 ops elementwise.
-        """
-        count = len(fts)
-        mu = self.faults.mu
-        round_length = self.bus.round_length
-        base_priorities = self.priorities
-        base_instances = self.ft.instances
-        old_group = self.ft.group_of[process]
-        parent_processes = {
-            message.src for message in self.graph.in_messages(process)
-        }
-
-        # Per-overlay new-group priorities: group sizes differ per overlay
-        # and successors keep base priorities, so this part stays scalar.
-        group_priorities: list[dict[str, float]] = []
-        for ft in fts:
-            instances = ft.instances
-            succ_of = ft._succ
-            values: dict[str, float] = {}
-            for iid in ft.group_of[process]:
-                instance = instances[iid]
-                weight = (
-                    instance.wcet * (1 + instance.reexecutions)
-                    + instance.reexecutions * mu
-                )
-                best_tail = 0.0
-                for succ in succ_of[iid]:
-                    edge = (
-                        round_length
-                        if instances[succ].node != instance.node
-                        else 0.0
-                    )
-                    tail = edge + base_priorities[succ]
-                    if tail > best_tail:
-                        best_tail = tail
-                values[iid] = weight + best_tail
-            group_priorities.append(values)
-
-        # Ancestors in the cached topological order (descendants first).
-        vectors: dict[str, np.ndarray] = {}
-        for iid in self._ancestor_instances(process):
-            instance = base_instances[iid]
-            weight = (
-                instance.wcet * (1 + instance.reexecutions)
-                + instance.reexecutions * mu
-            )
-            node = instance.node
-            if instance.process not in parent_processes:
-                # Successor list shared with the base by reference: one
-                # scan, vectorized over the overlays.
-                best = np.zeros(count)
-                for succ in self.ft._succ[iid]:
-                    edge = (
-                        round_length
-                        if base_instances[succ].node != node
-                        else 0.0
-                    )
-                    vector = vectors.get(succ)
-                    if vector is None:
-                        np.maximum(
-                            best, edge + base_priorities[succ], out=best
-                        )
-                    else:
-                        np.maximum(best, edge + vector, out=best)
-                vectors[iid] = weight + best
-            else:
-                # Direct parent: its successor list was rebuilt per overlay
-                # (it references the moved group), so fold per overlay.
-                best = np.empty(count)
-                for g, ft in enumerate(fts):
-                    instances = ft.instances
-                    best_tail = 0.0
-                    group_values = group_priorities[g]
-                    for succ in ft._succ[iid]:
-                        edge = (
-                            round_length
-                            if instances[succ].node != node
-                            else 0.0
-                        )
-                        vector = vectors.get(succ)
-                        if vector is not None:
-                            tail = edge + float(vector[g])
-                        else:
-                            value = group_values.get(succ)
-                            if value is None:
-                                value = base_priorities[succ]
-                            tail = edge + value
-                        if tail > best_tail:
-                            best_tail = tail
-                    best[g] = best_tail
-                vectors[iid] = weight + best
-
-        results: list[dict[str, float]] = []
-        for g in range(count):
-            priorities = dict(base_priorities)
-            for iid in old_group:
-                del priorities[iid]
-            priorities.update(group_priorities[g])
-            for iid, vector in vectors.items():
-                priorities[iid] = float(vector[g])
-            results.append(priorities)
-        return results
 
     # -- delta replay ------------------------------------------------------
 
@@ -481,63 +360,8 @@ class EvalContext:
         self,
         candidates: list[tuple[PolicyAssignment, ReplicaMapping, str]],
     ) -> list[tuple[FTGraph, dict[str, float], MoveCone]]:
-        """:meth:`plan_move` for a whole neighbourhood, sharing per-process
-        work: moves of the same process batch their ancestor-closure
-        priority recomputation (:meth:`_moved_priorities_batch`) instead of
-        redoing it per move.  Result order matches ``candidates``; every
-        plan is bit-equal to its scalar :meth:`plan_move` counterpart.
-        """
-        by_process: dict[str, list[int]] = {}
-        for index, (_, _, process) in enumerate(candidates):
-            by_process.setdefault(process, []).append(index)
-        results: list = [None] * len(candidates)
-        for process, indices in by_process.items():
-            fts = [
-                ft_graph_with_move(
-                    self.ft,
-                    self.graph,
-                    candidates[index][0],
-                    candidates[index][1],
-                    self.faults,
-                    process,
-                )
-                for index in indices
-            ]
-            if len(indices) < 4:
-                # Too few moves on this process to amortize the batched
-                # setup; the scalar path is cheaper.
-                for index, ft in zip(indices, fts):
-                    priorities = self.moved_priorities(ft, process)
-                    results[index] = (
-                        ft,
-                        priorities,
-                        self.cone_of(ft, priorities, process),
-                    )
-            else:
-                for index, ft, priorities in zip(
-                    indices, fts, self._moved_priorities_batch(fts, process)
-                ):
-                    results[index] = (
-                        ft,
-                        priorities,
-                        self.cone_of(ft, priorities, process),
-                    )
-        return results
-
-    def delta_record(
-        self,
-        policies: PolicyAssignment,
-        mapping: ReplicaMapping,
-        process: str,
-    ) -> tuple[ScheduleRecord, DeltaStats]:
-        """Schedule the moved design by replaying against the base.
-
-        ``policies``/``mapping`` must differ from the base implementation
-        only in ``process``.  Returns the sealed record — byte-identical
-        to a cold schedule of the moved design — plus replay statistics.
-        """
-        state, stats = self.delta_schedule(policies, mapping, process)
-        return state.seal(), stats
+        """:meth:`plan_move` for a whole neighbourhood, in order."""
+        return [self.plan_move(*candidate) for candidate in candidates]
 
     def delta_schedule(
         self,
@@ -610,9 +434,12 @@ class EvalContext:
         cursors: dict[str, int],
         resumed: int,
     ) -> DeltaStats:
-        """Drive ``state`` to completion with base-copy fast paths."""
-        faults = self.faults
-        k = faults.k
+        """Drive ``state`` to completion with base-copy fast paths.
+
+        Rows that cannot be copied are recomputed by the cold pass's own
+        :meth:`SchedulerState.place`, and fast frames wait on its
+        :meth:`SchedulerState.fast_frame_budget`.
+        """
         record = self.record
         base_ids = record.instance_ids
         base_index = self.base_index
@@ -629,10 +456,10 @@ class EvalContext:
         reads = self.reads
 
         builder = state.builder
-        analyzer = state.analyzer
-        tails = analyzer._tails
+        place = state.place
+        fast_frame_budget = state.fast_frame_budget
+        tails = state.analyzer._tails
         bus_scheduler = state.bus_scheduler
-        live_medl = bus_scheduler.medl.by_id()
         ready = state.ready
         remaining = state.remaining
         priorities = state.priorities
@@ -678,13 +505,12 @@ class EvalContext:
                     else:
                         copy = tails.get(node) == base_tails[predecessor]
 
-            node_id = builder.node_id(node)
-            chain = builder.chain(node_id)
             if copy:
                 copied += 1
+                node_id = builder.node_id(node)
                 kind, source, budget = base_bindings[base_at]
                 if kind == BIND_NODE:
-                    binding = (BIND_NODE, chain[-1], budget)
+                    binding = (BIND_NODE, builder.chain(node_id)[-1], budget)
                 elif kind == BIND_INPUT:
                     binding = (
                         BIND_INPUT,
@@ -710,36 +536,9 @@ class EvalContext:
                 tails[node] = base_tails[iid]
             else:
                 recomputed += 1
-                rel_row, rel_sources = release_row(
-                    ft, iid, faults, root_finish, no_recovery_rows, live_medl
-                )
-                result = analyzer.place(instance, rel_row)
-                if result.dominant == "node" and chain:
-                    binding = (BIND_NODE, chain[-1], result.dominant_budget)
-                else:
-                    source_iid = rel_sources[result.dominant_budget]
-                    if source_iid is None:
-                        binding = (BIND_RELEASE, -1, result.dominant_budget)
-                    else:
-                        binding = (
-                            BIND_INPUT,
-                            builder.index_of[source_iid],
-                            result.dominant_budget,
-                        )
+                result = place(iid, instance)
                 finish_row = result.finish_row
                 wcf = result.wcf
-                builder.place(
-                    iid,
-                    builder.process_id(instance.process),
-                    node_id,
-                    result.root_finish - instance.wcet,
-                    result.root_finish,
-                    wcf,
-                    finish_row,
-                    binding,
-                )
-                root_finish[iid] = result.root_finish
-                no_recovery_rows[iid] = result.no_recovery_row
 
                 # Convergence: rows identical to the base make this
                 # instance transparent to its readers again.
@@ -757,17 +556,7 @@ class EvalContext:
 
             outgoing = ft.outgoing_bus_messages(iid)
             if outgoing:
-                reuse_budget = 0
-                for sibling in group_of[instance.process]:
-                    if (
-                        sibling != iid
-                        and sibling in root_finish
-                        and instances[sibling].node == node
-                    ):
-                        reuse_budget += instances[sibling].kill_cost
-                fast_ready = finish_row[
-                    reuse_budget if reuse_budget < k else k
-                ]
+                fast_ready = finish_row[fast_frame_budget(iid, instance)]
                 pack_ok = node not in pack_dirty
                 sequence = base_pack.get(node, ())
                 cursor = cursors.get(node, 0)

@@ -39,7 +39,7 @@ from repro.model.ftgraph import FTGraph, build_ft_graph
 from repro.model.mapping import ReplicaMapping
 from repro.model.policy import PolicyAssignment
 from repro.schedule.record import ScheduleRecord
-from repro.schedule.state import SchedulerState, ScheduleTrace
+from repro.schedule.state import SchedulerState
 from repro.schedule.table import SystemSchedule
 from repro.ttp.bus import BusConfig
 
@@ -53,16 +53,6 @@ def list_schedule(
 ) -> SystemSchedule:
     """Build the complete system schedule for one candidate implementation."""
     ft = build_ft_graph(graph, policies, mapping, faults)
-    return schedule_ft_graph(graph, ft, faults, bus)
-
-
-def schedule_ft_graph(
-    graph: ProcessGraph,
-    ft: FTGraph,
-    faults: FaultModel,
-    bus: BusConfig,
-) -> SystemSchedule:
-    """Schedule an already-expanded FT graph (exposed for tests/tools)."""
     record = build_schedule_record(graph, ft, faults, bus)
     return SystemSchedule(record, graph, ft, faults, bus)
 
@@ -72,10 +62,8 @@ def build_schedule_record(
     ft: FTGraph,
     faults: FaultModel,
     bus: BusConfig,
-    *,
-    trace: ScheduleTrace | None = None,
 ) -> ScheduleRecord:
     """Run the list scheduler cold and emit the compact IR directly."""
-    state = SchedulerState(graph, ft, faults, bus, trace=trace)
+    state = SchedulerState(graph, ft, faults, bus)
     state.run()
     return state.seal()

@@ -5,7 +5,7 @@ The priority of an instance is the length of the longest path from it to any
 sink of the FT-extended graph, where
 
 * a vertex costs its WCET plus the recovery slack its own re-executions may
-  need (``C + e * (C + µ)``) — fault-tolerance overhead is part of the
+  need (``C * (1 + e) + e * µ``) — fault-tolerance overhead is part of the
   critical path, which is the "modification" relative to plain PCP;
 * an edge costs one TDMA round when it crosses nodes (the expected wait for
   the sender's slot plus delivery), and nothing when it stays on a node.
@@ -22,8 +22,13 @@ from repro.ttp.bus import BusConfig
 
 
 def instance_weight(wcet: float, reexecutions: int, mu: float) -> float:
-    """Path weight of one instance: WCET plus worst-case recovery time."""
-    return wcet + reexecutions * (wcet + mu)
+    """Path weight of one instance: WCET plus worst-case recovery time.
+
+    The operation order is part of the contract: every priority, full or
+    incremental, is built from this expression, so all of them agree bit
+    for bit.
+    """
+    return wcet * (1 + reexecutions) + reexecutions * mu
 
 
 def pcp_priorities(
@@ -39,7 +44,7 @@ def pcp_priorities(
     priorities: dict[str, float] = {}
     for iid in reversed(ft.topological_order()):
         instance = instances[iid]
-        weight = instance.wcet * (1 + instance.reexecutions) + instance.reexecutions * mu
+        weight = instance_weight(instance.wcet, instance.reexecutions, mu)
         best_tail = 0.0
         for succ in succ_of[iid]:
             edge = round_length if instances[succ].node != instance.node else 0.0

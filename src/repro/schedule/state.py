@@ -24,8 +24,11 @@ cold.  The snapshot contract is documented in DESIGN.md.
 With ``trace=ScheduleTrace()`` the state additionally records the per-step
 facts the delta kernel needs to decide, during a later replay, whether an
 instance's base rows can be copied verbatim: the rank at which each instance
-became ready, the fault-reuse budget behind its fast frames, its chain tail
-row, and each node's bus pack sequence.
+became ready, its chain tail row, and each node's bus pack sequence.
+
+A placement that is recomputed rather than copied runs through
+:meth:`SchedulerState.place` and :meth:`SchedulerState.fast_frame_budget`
+in both the cold pass and the delta replay, so the two cannot drift apart.
 """
 
 from __future__ import annotations
@@ -37,9 +40,10 @@ from dataclasses import dataclass, field
 from repro.errors import SchedulingError
 from repro.model.application import ProcessGraph
 from repro.model.fault import FaultModel
-from repro.model.ftgraph import FTGraph
+from repro.model.ftgraph import FTGraph, Instance
 from repro.obs.metrics import get_registry
 from repro.schedule.analysis import (
+    PlacementResult,
     WorstCaseAnalyzer,
     group_survivor_indices,
     guaranteed_completion,
@@ -275,7 +279,6 @@ class ScheduleTrace:
     """
 
     ready_rank: dict[str, int] = field(default_factory=dict)
-    reuse_budget: dict[str, int] = field(default_factory=dict)
     tail_rows: dict[str, tuple[float, ...]] = field(default_factory=dict)
     pack: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
 
@@ -373,29 +376,25 @@ class SchedulerState:
     def done(self) -> bool:
         return not self.ready
 
-    def peek(self) -> str | None:
-        """Instance id the next ``step()`` will place (None when done)."""
-        return self.ready[0][1] if self.ready else None
+    def place(self, iid: str, instance: Instance) -> PlacementResult:
+        """Compute and record ``iid``'s rows from the current state.
 
-    def step(self) -> str:
-        """Place the highest-priority ready instance; one Fig. 6 iteration."""
-        _, iid = heapq.heappop(self.ready)
-        ft = self.ft
-        instance = ft.instances[iid]
+        Prices the instance's guaranteed release, appends it to its node's
+        worst-case chain, binds the dominant input (or the node
+        predecessor when the chain dominates) and writes the record row
+        plus the release inputs later receivers read.
+        """
         rel_row, rel_sources = release_row(
-            ft,
+            self.ft,
             iid,
             self.faults,
             self.root_finish,
             self.no_recovery_rows,
             self.bus_scheduler.medl.by_id(),
         )
-
         builder = self.builder
-        node = instance.node
-        node_id = builder.node_id(node)
+        node_id = builder.node_id(instance.node)
         chain = builder.chain(node_id)
-
         result = self.analyzer.place(instance, rel_row)
         if result.dominant == "node" and chain:
             binding = (BIND_NODE, chain[-1], result.dominant_budget)
@@ -409,45 +408,64 @@ class SchedulerState:
                     builder.index_of[source],
                     result.dominant_budget,
                 )
+        root_finish = result.root_finish
         builder.place(
             iid,
             builder.process_id(instance.process),
             node_id,
-            result.root_finish - instance.wcet,
-            result.root_finish,
+            root_finish - instance.wcet,
+            root_finish,
             result.wcf,
             result.finish_row,
             binding,
         )
-        self.root_finish[iid] = result.root_finish
+        self.root_finish[iid] = root_finish
         self.no_recovery_rows[iid] = result.no_recovery_row
+        return result
+
+    def fast_frame_budget(self, iid: str, instance: Instance) -> int:
+        """Fault budget whose finish ``iid``'s fast frames depart after.
+
+        Fast frames of replicas depart right after the fault-free finish
+        (Fig. 4b); masked/guaranteed frames only after the worst-case
+        finish so recovery stays transparent (Fig. 4a).
+
+        Co-location caveat: killing an *earlier co-located* replica of the
+        same process both removes that replica's frame and delays this one
+        (fault reuse).  The fast frame therefore departs only after the
+        finish under a budget covering those sibling kills, so the
+        receiver-side marginal cost accounting stays sound.
+        """
+        instances = self.ft.instances
+        root_finish = self.root_finish
+        node = instance.node
+        budget = 0
+        for sibling in self.ft.group_of[instance.process]:
+            if (
+                sibling != iid
+                and sibling in root_finish
+                and instances[sibling].node == node
+            ):
+                budget += instances[sibling].kill_cost
+        return budget if budget < self._k else self._k
+
+    def step(self) -> str:
+        """Place the highest-priority ready instance; one Fig. 6 iteration."""
+        _, iid = heapq.heappop(self.ready)
+        ft = self.ft
+        instance = ft.instances[iid]
+        result = self.place(iid, instance)
         trace = self.trace
         if trace is not None:
             trace.tail_rows[iid] = result.tail_row
 
         outgoing = ft.outgoing_bus_messages(iid)
         if outgoing:
-            # Fast frames of replicas depart right after the fault-free
-            # finish (Fig. 4b); masked/guaranteed frames only after the
-            # worst-case finish so recovery stays transparent (Fig. 4a).
-            #
-            # Co-location caveat: killing an *earlier co-located* replica of
-            # the same process both removes that replica's frame and delays
-            # this one (fault reuse).  The fast frame therefore departs only
-            # after the finish under a budget covering those sibling kills,
-            # so the receiver-side marginal cost accounting stays sound.
-            reuse_budget = 0
-            root_finish = self.root_finish
-            for sibling in ft.group_of[instance.process]:
-                if (
-                    sibling != iid
-                    and sibling in root_finish
-                    and ft.instances[sibling].node == node
-                ):
-                    reuse_budget += ft.instances[sibling].kill_cost
-            fast_ready = result.finish_row[min(reuse_budget, self._k)]
+            fast_ready = result.finish_row[
+                self.fast_frame_budget(iid, instance)
+            ]
+            node = instance.node
             if trace is not None:
-                trace.reuse_budget[iid] = reuse_budget
                 pack_seq = trace.pack.setdefault(node, [])
             schedule_message = self.bus_scheduler.schedule_message
             for bus_message in outgoing:
@@ -463,7 +481,7 @@ class SchedulerState:
         remaining = self.remaining
         ready = self.ready
         priorities = self.priorities
-        rank_after = len(builder.instance_ids)
+        rank_after = len(self.builder.instance_ids)
         for succ in self._succ_of[iid]:
             remaining[succ] -= 1
             if remaining[succ] == 0:

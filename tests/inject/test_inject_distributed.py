@@ -146,6 +146,16 @@ def test_cli_inject_resume_requires_broker(capsys):
     assert "--resume requires --broker" in capsys.readouterr().err
 
 
+def test_cli_inject_jobs_requires_broker(capsys):
+    """`--jobs N` fans out only through a broker; inline it is an error."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["inject", "--jobs", "2"])
+    assert excinfo.value.code == 2
+    assert "--jobs N requires --broker" in capsys.readouterr().err
+
+
 def test_cli_worker_validate_samples_plumbing(tmp_path, monkeypatch):
     """`--validate-samples` reaches the Worker: 0 disables, N overrides."""
     import repro.queue.worker as worker_module

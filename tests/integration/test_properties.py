@@ -110,6 +110,6 @@ def test_evaluator_cost_deterministic(n, seed):
     merged = merge_application(case.application)
     bus = initial_bus_access(case.application, case.architecture)
     impl = initial_mpa(merged, case.architecture, case.faults, bus)
-    a = Evaluator(merged, case.faults, cache=False).evaluate(impl)
-    b = Evaluator(merged, case.faults, cache=False).evaluate(impl)
+    a = Evaluator(merged, case.faults, cache_size=0).evaluate_record(impl)[0]
+    b = Evaluator(merged, case.faults, cache_size=0).evaluate_record(impl)[0]
     assert a == b

@@ -33,7 +33,7 @@ class TestBusOpt:
         # N2 before N1: the A->B message always waits almost a full round.
         merged, faults, impl = _setup(("N2", "N1"))
         evaluator = Evaluator(merged, faults)
-        before = evaluator.evaluate(impl)
+        before = evaluator.evaluate_record(impl)[0]
         best, after = optimize_bus_access(evaluator, impl)
         assert after.makespan <= before.makespan
         assert best.bus.slot_order in (("N1", "N2"), ("N2", "N1"))
@@ -41,7 +41,7 @@ class TestBusOpt:
     def test_keeps_good_configuration(self):
         merged, faults, impl = _setup(("N1", "N2"))
         evaluator = Evaluator(merged, faults)
-        before = evaluator.evaluate(impl)
+        before = evaluator.evaluate_record(impl)[0]
         best, after = optimize_bus_access(evaluator, impl)
         assert after.makespan <= before.makespan
 
@@ -49,7 +49,7 @@ class TestBusOpt:
         for order in (("N1", "N2"), ("N2", "N1")):
             merged, faults, impl = _setup(order)
             evaluator = Evaluator(merged, faults)
-            before = evaluator.evaluate(impl)
+            before = evaluator.evaluate_record(impl)[0]
             _, after = evaluator_cost = optimize_bus_access(evaluator, impl)
             assert not before.is_better_than(after)
 
@@ -59,7 +59,7 @@ class TestBusOpt:
         best, after = optimize_bus_access(
             evaluator, impl, scale_factors=(2.0,)
         )
-        before = evaluator.evaluate(impl)
+        before = evaluator.evaluate_record(impl)[0]
         assert not before.is_better_than(after)
 
     def test_mapping_and_policies_untouched(self):

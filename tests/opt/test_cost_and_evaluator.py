@@ -56,8 +56,8 @@ class TestEvaluator:
     def test_cache_hits_on_identical_design(self):
         merged, faults, impl = _setup()
         evaluator = Evaluator(merged, faults)
-        first = evaluator.evaluate(impl)
-        second = evaluator.evaluate(impl.copy())
+        first = evaluator.evaluate_record(impl)[0]
+        second = evaluator.evaluate_record(impl.copy())[0]
         assert first == second
         assert evaluator.evaluations == 1
         assert evaluator.cache_hits == 1
@@ -65,23 +65,23 @@ class TestEvaluator:
     def test_cache_distinguishes_designs(self):
         merged, faults, impl = _setup()
         evaluator = Evaluator(merged, faults)
-        evaluator.evaluate(impl)
+        evaluator.evaluate_record(impl)[0]
         other = impl.with_move("A", ("N2",), Policy.reexecution(1))
-        evaluator.evaluate(other)
+        evaluator.evaluate_record(other)[0]
         assert evaluator.evaluations == 2
 
     def test_cache_can_be_disabled(self):
         merged, faults, impl = _setup()
-        evaluator = Evaluator(merged, faults, cache=False)
-        evaluator.evaluate(impl)
-        evaluator.evaluate(impl)
+        evaluator = Evaluator(merged, faults, cache_size=0)
+        evaluator.evaluate_record(impl)[0]
+        evaluator.evaluate_record(impl)[0]
         assert evaluator.evaluations == 2
         assert evaluator.cache_hits == 0
 
     def test_cost_matches_schedule(self):
         merged, faults, impl = _setup()
         evaluator = Evaluator(merged, faults)
-        cost = evaluator.evaluate(impl)
-        schedule = evaluator.schedule(impl)
+        cost = evaluator.evaluate_record(impl)[0]
+        schedule = evaluator.evaluate_full(impl)[1]
         assert cost.makespan == schedule.makespan
         assert cost.schedulable == schedule.is_schedulable

@@ -13,9 +13,12 @@ plus the supporting exact-parity contracts the kernel rests on:
   overlay graph, bit for bit;
 * :meth:`~repro.schedule.state.SchedulerState.cost_view` equals the sealed
   record's ``(degree_of_schedulability, makespan)``, bit for bit;
-* :meth:`EvalContext.plan_moves`, the batched planner the evaluator's hot
-  path runs, returns exactly what the scalar :meth:`EvalContext.plan_move`
-  returns for every move.
+* the impact cone of :meth:`EvalContext.plan_move` seeds the moved
+  process's instances, old and new.
+
+The move chains include checkpointed re-execution policies, whose
+recovery re-runs one segment (``recovery_unit < wcet``) in both the
+release rows and the worst-case analysis.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from repro.model.ftgraph import build_ft_graph
 from repro.model.merge import merge_application
 from repro.opt.initial import initial_bus_access, initial_mpa
 from repro.opt.moves import generate_moves
-from repro.schedule.incremental import EvalContext, MoveCone
+from repro.schedule.incremental import EvalContext
 from repro.schedule.list_scheduler import build_schedule_record
 from repro.schedule.priorities import pcp_priorities
 
@@ -86,7 +89,8 @@ def test_delta_record_byte_identical_along_move_chains(
     for pick in picks:
         context = _capture(merged, faults, bus, impl)
         moves = generate_moves(
-            merged, faults, impl, context.record.critical_path(), (1, 2, 3)
+            merged, faults, impl, context.record.critical_path(), (1, 2, 3),
+            (2, 4),
         )
         if not moves:
             return
@@ -101,6 +105,10 @@ def test_delta_record_byte_identical_along_move_chains(
         assert priorities == pcp_priorities(moved_ft, bus, faults)
         assert cone.process == move.process
         assert 0 <= cone.earliest_rank <= len(context.record)
+        # The moved process's instances (old and new groups) are always
+        # cone seeds.
+        assert set(context.ft.group_of[move.process]) <= cone.changed
+        assert set(moved_ft.group_of[move.process]) <= cone.changed
 
         # Delta replay: unsealed cost parity, then sealed byte parity.
         state, stats = context.delta_schedule(
@@ -123,37 +131,6 @@ def test_delta_record_byte_identical_along_move_chains(
         impl = candidate  # chain: the moved design becomes the next base
 
 
-@given(
-    n=st.integers(8, 14),
-    nodes=st.integers(2, 3),
-    k=st.integers(0, 3),
-    seed=st.integers(0, 7),
-)
-@_SLOW
-def test_plan_moves_bit_equal_to_plan_move(n, nodes, k, seed):
-    """The batched planner returns the scalar planner's results exactly:
-    same overlay graphs, bit-equal priority dicts, same cones."""
-    merged, faults, bus, impl = _build(n, nodes, k, seed)
-    context = _capture(merged, faults, bus, impl)
-    moves = generate_moves(
-        merged, faults, impl, context.record.critical_path(), (1, 2, 3)
-    )
-    if not moves:
-        return
-    candidates = []
-    for move in moves:
-        moved = move.apply(impl)
-        candidates.append((moved.policies, moved.mapping, move.process))
-    batched = context.plan_moves(candidates)
-    for candidate, (ft_b, prio_b, cone_b) in zip(candidates, batched):
-        ft_s, prio_s, cone_s = context.plan_move(*candidate)
-        assert repr(sorted(prio_b.items())) == repr(sorted(prio_s.items()))
-        assert cone_b.process == cone_s.process
-        assert cone_b.earliest_rank == cone_s.earliest_rank
-        assert cone_b.changed == cone_s.changed
-        assert set(ft_b.instances) == set(ft_s.instances)
-
-
 def test_delta_record_parity_on_replicated_base():
     """Deterministic spot check with replicated initial policies.
 
@@ -169,37 +146,13 @@ def test_delta_record_parity_on_replicated_base():
     assert moves
     for move in moves:
         candidate = move.apply(impl)
-        delta_rec, stats = context.delta_record(
+        state, _ = context.delta_schedule(
             candidate.policies, candidate.mapping, move.process
         )
+        delta_rec = state.seal()
         _, cold_rec = _cold_record(merged, faults, bus, candidate)
         assert delta_rec == cold_rec
         assert repr(delta_rec) == repr(cold_rec)
-
-
-def test_move_cone_is_exposed_on_move():
-    """``Move.cone`` mirrors ``EvalContext.plan_move``'s cone."""
-    merged, faults, bus, impl = _build(10, 2, 2, seed=0)
-    context = _capture(merged, faults, bus, impl)
-    moves = generate_moves(
-        merged, faults, impl, context.record.critical_path(), (1, 2)
-    )
-    assert moves
-    for move in moves[:5]:
-        cone = move.cone(context, impl)
-        assert isinstance(cone, MoveCone)
-        candidate = move.apply(impl)
-        _, _, planned = context.plan_move(
-            candidate.policies, candidate.mapping, move.process
-        )
-        assert cone == planned
-        # The moved process's instances (old and new groups) are always
-        # cone seeds.
-        moved_ft = build_ft_graph(
-            merged, candidate.policies, candidate.mapping, faults
-        )
-        assert set(context.ft.group_of[move.process]) <= cone.changed
-        assert set(moved_ft.group_of[move.process]) <= cone.changed
 
 
 def test_capture_record_matches_untraced_cold_pass():

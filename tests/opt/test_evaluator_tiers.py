@@ -8,17 +8,20 @@ The consolidated surface (see the module docstring of
 * realizing a record for an already-priced design is materialization, not
   evaluation — it moves ``record_rebuilds`` only (or nothing at all when a
   pending scheduler state is sealed);
-* costs are tier-independent: the delta tier and the full tier price every
-  candidate identically, and realized records are byte-equal.
+* costs are tier-independent: a delta-priced candidate costs what a fresh
+  evaluator's cold ``evaluate_record`` pass prices, and its realized
+  record is byte-equal to a cold ``build_schedule_record``.
 """
 
 from __future__ import annotations
 
 from repro.gen.suite import generate_case
+from repro.model.ftgraph import build_ft_graph
 from repro.model.merge import merge_application
 from repro.opt.evaluator import Evaluator
 from repro.opt.initial import initial_bus_access, initial_mpa
 from repro.opt.moves import generate_moves
+from repro.schedule.list_scheduler import build_schedule_record
 
 
 def _setup(n=12, nodes=2, k=2, seed=1):
@@ -79,7 +82,8 @@ class TestCounters:
         assert evaluator.realize(candidate) is record
         # The cache entry was filled in, so a view request for the same
         # design reuses the very record object.
-        assert evaluator.schedule(candidate.implementation).record is record
+        view = evaluator.evaluate_full(candidate.implementation)[1]
+        assert view.record is record
 
     def test_realize_of_record_less_cache_hit_rebuilds_once(self):
         merged, faults, impl = _setup()
@@ -90,26 +94,32 @@ class TestCounters:
         record = evaluator.realize(hit)
         assert evaluator.record_rebuilds == 1
         assert evaluator.realize(hit) is record
-        assert evaluator.schedule(hit.implementation).record is record
+        view = evaluator.evaluate_full(hit.implementation)[1]
+        assert view.record is record
         assert evaluator.record_rebuilds == 1
 
 
 class TestTierParity:
     def test_delta_and_full_tier_agree(self):
         merged, faults, impl = _setup()
-        delta_eval = Evaluator(merged, faults, cache=False)
-        full_eval = Evaluator(merged, faults, cache=False, delta=False)
+        delta_eval = Evaluator(merged, faults, cache_size=0)
+        full_eval = Evaluator(merged, faults)
         moves = _neighbourhood(
             merged, faults, impl, Evaluator(merged, faults)
         )
         priced = delta_eval.evaluate_many(impl, moves)
-        cold = full_eval.evaluate_many(impl, moves)
         assert delta_eval.delta_evaluations == len(moves)
+        for candidate in priced:
+            design = candidate.implementation
+            cost, _ = full_eval.evaluate_record(design)
+            ft = build_ft_graph(
+                merged, design.policies, design.mapping, faults
+            )
+            cold = build_schedule_record(merged, ft, faults, design.bus)
+            assert candidate.cost == cost
+            assert delta_eval.realize(candidate) == cold
         assert full_eval.delta_evaluations == 0
         assert full_eval.full_evaluations == len(moves)
-        for a, b in zip(priced, cold):
-            assert a.cost == b.cost
-            assert delta_eval.realize(a) == full_eval.realize(b)
 
     def test_context_is_cached_per_base(self):
         merged, faults, impl = _setup()
@@ -122,7 +132,7 @@ class TestTierParity:
 class TestCacheOffBehaviour:
     def test_uncached_evaluator_prices_every_request(self):
         merged, faults, impl = _setup()
-        evaluator = Evaluator(merged, faults, cache=False)
+        evaluator = Evaluator(merged, faults, cache_size=0)
         moves = _neighbourhood(
             merged, faults, impl, Evaluator(merged, faults)
         )

@@ -35,7 +35,7 @@ def _setup(n_heavy=3):
 class TestGreedy:
     def test_never_worse_than_start(self):
         _, _, faults, merged, impl, evaluator = _setup()
-        start_cost = evaluator.evaluate(impl)
+        start_cost = evaluator.evaluate_record(impl)[0]
         outcome = greedy_mpa(
             merged, faults, evaluator, impl, (1, 2),
             max_iterations=10, stop_when_schedulable=False,
@@ -66,7 +66,7 @@ class TestGreedy:
 class TestTabu:
     def test_best_never_worse_than_start(self):
         _, _, faults, merged, impl, evaluator = _setup()
-        start_cost = evaluator.evaluate(impl)
+        start_cost = evaluator.evaluate_record(impl)[0]
         outcome = tabu_search_mpa(
             merged, faults, evaluator, impl, (1, 2),
             max_iterations=8, stop_when_schedulable=False,

@@ -13,7 +13,8 @@ from repro.model.fault import FaultModel
 from repro.model.merge import merge_application
 from repro.model.application import Application
 from repro.model.policy import Policy
-from repro.opt.evaluator import Evaluator
+from repro.obs.metrics import MetricsRegistry
+from repro.opt.evaluator import Evaluator, _cost
 from repro.opt.initial import initial_bus_access, initial_mpa
 from repro.opt.tabu import tabu_search_mpa
 from repro.gen.suite import generate_case
@@ -35,8 +36,8 @@ def _random_implementation(rng, merged, base, faults, nodes):
 
 class TestEvaluateFull:
     def test_cost_matches_evaluate_for_random_implementations(self):
-        """Property: evaluate_full's cost equals evaluate's, and both match
-        the cost derived from the returned schedule."""
+        """Property: evaluate_full's cost equals evaluate_record's, and both
+        match the cost derived from the returned schedule."""
         case = generate_case(12, 3, 2, mu=5.0, seed=3)
         merged = merge_application(case.application)
         bus = initial_bus_access(case.application, case.architecture)
@@ -45,19 +46,22 @@ class TestEvaluateFull:
         rng = random.Random(0xBEEF)
 
         cached = Evaluator(merged, case.faults)
-        uncached = Evaluator(merged, case.faults, cache=False)
+        uncached = Evaluator(merged, case.faults, cache_size=0)
         for _ in range(25):
             impl = _random_implementation(rng, merged, base, case.faults, nodes)
             cost, schedule = cached.evaluate_full(impl)
-            assert cost == uncached.evaluate(impl)
-            assert cost == cached.cost_of_record(schedule.record)
+            assert cost == uncached.evaluate_record(impl)[0]
+            record = schedule.record
+            assert cost == _cost(
+                record.degree_of_schedulability(), record.makespan
+            )
             assert cost.makespan == schedule.makespan
             # A second request is a pure cache hit, never a reschedule: the
             # cache retains the compact record, so the re-materialized view
             # wraps the *same* record object (views themselves are rebuilt).
             before = cached.evaluations
-            assert cached.evaluate(impl) == cost
-            assert cached.schedule(impl).record is schedule.record
+            assert cached.evaluate_record(impl)[0] == cost
+            assert cached.evaluate_full(impl)[1].record is schedule.record
             assert cached.evaluations == before
 
     def test_lru_cache_stays_bounded(self):
@@ -89,14 +93,14 @@ class TestEvaluateFull:
         impl_c = impl_a.with_move("B", ("N1",), Policy.reexecution(1))
 
         evaluator = Evaluator(merged, faults, cache_size=2)
-        evaluator.evaluate(impl_a)
-        evaluator.evaluate(impl_b)
-        evaluator.evaluate(impl_a)  # refresh a: b is now least recent
-        evaluator.evaluate(impl_c)  # evicts b
+        evaluator.evaluate_record(impl_a)
+        evaluator.evaluate_record(impl_b)
+        evaluator.evaluate_record(impl_a)  # refresh a: b is now least recent
+        evaluator.evaluate_record(impl_c)  # evicts b
         evaluations = evaluator.evaluations
-        evaluator.evaluate(impl_a)
+        evaluator.evaluate_record(impl_a)
         assert evaluator.evaluations == evaluations  # hit
-        evaluator.evaluate(impl_b)
+        evaluator.evaluate_record(impl_b)
         assert evaluator.evaluations == evaluations + 1  # miss: was evicted
 
     def test_cache_hit_rate_accounting(self):
@@ -105,13 +109,16 @@ class TestEvaluateFull:
         bus = initial_bus_access(case.application, case.architecture)
         impl = initial_mpa(merged, case.architecture, case.faults, bus)
         evaluator = Evaluator(merged, case.faults)
-        assert evaluator.cache_hit_rate == 0.0
-        evaluator.evaluate(impl)
-        evaluator.evaluate(impl)
-        evaluator.evaluate(impl)
+        registry = MetricsRegistry()
+        evaluator.publish_metrics(registry)
+        assert registry.value("evaluator.cache.hit_rate") == 0.0
+        evaluator.evaluate_record(impl)
+        evaluator.evaluate_record(impl)
+        evaluator.evaluate_record(impl)
         assert evaluator.evaluations == 1
         assert evaluator.cache_hits == 2
-        assert evaluator.cache_hit_rate == 2 / 3
+        evaluator.publish_metrics(registry)
+        assert registry.value("evaluator.cache.hit_rate") == 2 / 3
 
 
 class TestTabuSinglePass:

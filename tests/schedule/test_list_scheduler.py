@@ -179,6 +179,6 @@ class TestErrors:
         # Bypass merge validation by scheduling an empty FT graph directly.
         with pytest.raises(SchedulingError):
             from repro.model.ftgraph import FTGraph
-            from repro.schedule.list_scheduler import schedule_ft_graph
+            from repro.schedule.list_scheduler import build_schedule_record
 
-            schedule_ft_graph(graph, FTGraph(), NO_FAULTS, BUS2)
+            build_schedule_record(graph, FTGraph(), NO_FAULTS, BUS2)
