@@ -10,10 +10,14 @@ Scale knobs (environment variables):
                            paper used 15)
 ``REPRO_BENCH_TIME_SCALE`` multiplier on the per-size search budgets
                            (default 0.3; >= 10 approaches paper scale)
+``REPRO_BENCH_RECORD``     ``1`` writes the tracked ``BENCH_*.json``
+                           records; unset, the benchmarks measure and
+                           assert but leave the tree clean
 """
 
 from __future__ import annotations
 
+import json
 import os
 import platform
 import subprocess
@@ -71,6 +75,18 @@ def bench_stamp() -> dict:
         "numpy": numpy.__version__,
         "platform": platform.platform(),
     }
+
+
+def write_bench_record(path: Path, record: dict) -> None:
+    """Write one ``BENCH_*.json`` record, only under ``REPRO_BENCH_RECORD=1``.
+
+    The committed records are the baselines
+    ``scripts/check_bench_regression.py`` gates against, so a plain test
+    run must not rewrite them; CI's smoke benchmarks and deliberate
+    re-recordings set the variable.
+    """
+    if os.environ.get("REPRO_BENCH_RECORD") == "1":
+        path.write_text(json.dumps(record, indent=2) + "\n")
 
 
 def print_block(title: str, body: str) -> None:

@@ -17,7 +17,6 @@ current ``DEFAULT_CACHE_SIZE`` (see DESIGN.md).
 from __future__ import annotations
 
 import gc
-import json
 import time
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from repro.gen.suite import generate_case
 from repro.opt.evaluator import DEFAULT_CACHE_SIZE
 from repro.opt.strategy import OptimizationConfig, optimize
 
-from benchmarks.conftest import bench_stamp
+from benchmarks.conftest import bench_stamp, write_bench_record
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_cache.json"
 
@@ -94,7 +93,7 @@ def test_cache_scaling_records_bench_json():
         },
         "sizes": rows,
     }
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench_record(BENCH_PATH, record)
 
     # Identical deterministic searches: every size visits the same points.
     assert len({row["makespan"] for row in rows}) == 1

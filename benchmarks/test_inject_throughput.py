@@ -25,7 +25,6 @@ scenario accounted for).
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -41,7 +40,7 @@ from repro.opt.initial import initial_bus_access, initial_mpa
 from repro.queue.sqlite import SqliteBroker
 from repro.schedule.list_scheduler import list_schedule
 
-from benchmarks.conftest import bench_stamp
+from benchmarks.conftest import bench_stamp, write_bench_record
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_inject.json"
 
@@ -159,7 +158,7 @@ def test_inject_throughput_records_bench_json(tmp_path):
             ),
         },
     }
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench_record(BENCH_PATH, record)
 
     assert record["inject"]["ok"] is True
     assert record["inject"]["scenarios_per_sec"] > 0

@@ -26,7 +26,7 @@ from repro.opt.strategy import OptimizationConfig
 from repro.queue.memory import MemoryBroker
 from repro.queue.sqlite import SqliteBroker
 
-from benchmarks.conftest import bench_stamp
+from benchmarks.conftest import bench_stamp, write_bench_record
 
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_queue.json"
 
@@ -110,7 +110,7 @@ def test_queue_overhead_records_bench_json(tmp_path):
             ),
         },
     }
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench_record(BENCH_PATH, record)
 
     for backend in record["brokers"].values():
         assert backend["enqueue_per_sec"] > 0

@@ -204,13 +204,23 @@ class InjectAggregate:
     # -- folding -----------------------------------------------------------
 
     def fold(self, result: ShardResult) -> None:
-        """Fold one shard exactly once (re-folds are rejected)."""
+        """Fold one shard exactly once (re-folds are rejected).
+
+        A result must account for its shard's whole scenario budget: a
+        worker's result arrives through the broker as outside input, and
+        a short count would be folded as coverage nobody simulated.
+        """
         if result.fingerprint in self._seen:
             raise SimulationError(
                 f"shard {result.fingerprint[:12]} folded twice"
             )
-        self._seen.add(result.fingerprint)
         spec = result.spec
+        if result.draws != spec.scenario_budget:
+            raise SimulationError(
+                f"shard {spec.describe()} reports {result.draws} draws, "
+                f"its budget is {spec.scenario_budget}"
+            )
+        self._seen.add(result.fingerprint)
         self.shards_folded += 1
         self.scenarios += result.scenarios
         self.draws += result.draws

@@ -123,8 +123,11 @@ def run_shard(
     block; ``0`` (or ``None``) replays scenario-by-scenario through the
     scalar simulator instead.  Both paths produce byte-identical
     results — the batch tier is the throughput engine, the scalar tier
-    the reference and exemplar replay fallback.
+    the reference and exemplar replay fallback.  A negative
+    ``batch_size`` raises :class:`SimulationError`.
     """
+    if batch_size is not None and batch_size < 0:
+        raise SimulationError(f"batch size must be >= 0, got {batch_size}")
     fingerprint = target_fp or target.fingerprint()
     context = cached_context(target, fingerprint)
     started = time.perf_counter()

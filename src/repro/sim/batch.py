@@ -4,34 +4,40 @@ The scalar :meth:`~repro.sim.engine.SystemSimulator.run` replays one
 scenario per call; million-scenario injection sweeps pay its Python
 per-instance bookkeeping once per scenario.  This module compiles the
 simulator's resolved :class:`~repro.sim.engine._InstancePlan` tuples
-*once* into integer-indexed columnar arrays and replays ``B`` scenarios
+*once* into one **row recipe** per instance and replays ``B`` scenarios
 simultaneously — one matrix column per scenario — with the same
 semantics, bit for bit:
 
-* **interning** — instance ids, node names and process names become row
-  indices; every per-instance parameter (``wcet``, ``recovery + µ``,
-  release, table start, re-execution budget) is a flat vector;
-* **arrival options** — each potential input arrival (a local
-  predecessor's finish, or one bus frame of a remote sender) is one row
-  of a CSR-style flattened option table: per instance a contiguous
-  slice, per input group a start offset into that slice.  Arrivals are
-  a gather of the source rows' finish columns masked by availability
-  (``produced`` and, for frames, ``finish <= slot_start + ε`` — the
-  controller's validity test), reduced group-wise with
-  ``np.minimum.reduceat`` and across groups with ``max`` — float
-  min/max is order-independent-exact, so the reductions match the
-  scalar ``max(ready, min(arrivals))`` fold bit-for-bit;
+* **arrival matrix** — one ``(rows, B)`` matrix holds everything a
+  receiver can read: each instance's finish where it produced (+inf
+  where it starved or died), one row per **channel** (a sender's frames
+  carrying one message) with the arrival of its earliest valid frame,
+  and one row that is always +inf.  A channel is evaluated once, when
+  its sender has run: the controller's validity test (``finish <=
+  slot_start + ε``) becomes a ``searchsorted`` of the sender's row into
+  its sorted frame thresholds and a ``take`` from a precompiled table of
+  earliest arrivals.  Channel rows are reused once their last reader
+  has run;
+* **row recipes** — per instance, the arrival rows of its input groups
+  padded to the widest group with the +inf row, the node index, and the
+  scalars ``max(table start, release)``, ``wcet``, ``wcet + µ``,
+  ``recovery + µ`` and ``reexec·(recovery + µ)``.  A step gathers the
+  rows in one ``take``, reduces each group with one ``min`` over the
+  padded ``(width, groups, B)`` block and the groups with one ``max`` —
+  float min/max is order-independent-exact, so this matches the scalar
+  ``max(ready, min(arrivals))`` fold bit-for-bit;
 * **kernel execution** — the closed-form contingency arithmetic of
   :class:`~repro.sim.kernel.NodeKernel` applied to whole rows:
   ``(start + wcet) + n·(recovery + µ)`` for survivors,
   ``(start + (wcet + µ)) + reexec·(recovery + µ)`` for dead replicas,
-  with the per-instance scalar subexpressions precompiled so the IEEE
-  operation order equals the scalar kernel's;
-* **starvation/death** propagate as boolean masks (a starved instance
-  never executes and never advances its node chain; a dead replica
-  *does* occupy the CPU until its busy-end but produces nothing);
-* **completions** — per process, a masked ``min`` over its replica
-  rows, ``+inf`` marking a dead process.
+  in the scalar kernel's IEEE operation order;
+* **starvation** is read off +inf: a group with no valid arrival
+  reduces to +inf, so a starved column's start and finish are +inf, its
+  node chain keeps its value there, and ``starved`` / ``executed`` /
+  ``produced`` are derived after the loop.  A dead replica *does*
+  occupy the CPU until its busy-end but produces nothing;
+* **completions** — per process, a ``min`` over its replica rows of the
+  arrival matrix, ``+inf`` marking a dead process.
 
 Parity with the scalar engine is a contract, not an accident — the
 hypothesis suite ``tests/sim/test_batch_parity.py`` asserts repr-byte
@@ -43,7 +49,7 @@ edges (the same discipline as the delta kernel's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -119,11 +125,44 @@ class BatchResult:
         return result
 
 
+class _Sends(NamedTuple):
+    """One sender's channels: arrival rows ``[lo, hi)`` and their lookup.
+
+    ``thresholds`` are the sorted validity thresholds (``slot_start + ε``)
+    of every frame on those channels.  An output ready at ``t`` makes
+    valid exactly the frames whose threshold is at or after position
+    ``j = thresholds.searchsorted(t)``, and ``table[c, j]`` is channel
+    ``c``'s earliest arrival among them (+inf past the last threshold,
+    which also covers a starved or dead sender's +inf output).
+    """
+
+    lo: int
+    hi: int
+    thresholds: np.ndarray
+    table: np.ndarray
+
+
+class _Row(NamedTuple):
+    """Static inputs of one instance's replay step, compiled once."""
+
+    index: int  # row in placement order
+    node: int
+    floor: float  # max(table start, release)
+    wcet: float
+    wcet_mu: float  # wcet + µ: a dead replica's first attempt
+    recmu: float  # recovery + µ: one failed attempt
+    dead_tail: float  # reexec·(recovery + µ)
+    src: np.ndarray | None  # arrival rows, (width, groups) flattened
+    groups: int
+    width: int  # options per group, padded with the +inf row
+    sends: _Sends | None
+
+
 class BatchSimulator:
     """Columnar compilation of one :class:`SystemSimulator`'s replay plans.
 
     Compile once per target, then :meth:`run_batch` replays arbitrarily
-    many ``(instances, B)`` failure matrices against the frozen arrays.
+    many ``(instances, B)`` failure matrices against the frozen recipes.
     """
 
     def __init__(self, simulator: SystemSimulator) -> None:
@@ -137,85 +176,111 @@ class BatchSimulator:
         index = {iid: i for i, iid in enumerate(self.instance_ids)}
         self.nodes: tuple[str, ...] = tuple(schedule.record.nodes)
         node_index = {node: i for i, node in enumerate(self.nodes)}
-
         n = len(plans)
-        self._node = np.empty(n, dtype=np.intp)
-        self._table = np.empty(n, dtype=np.float64)
-        self._release = np.empty(n, dtype=np.float64)
-        self._wcet = np.empty(n, dtype=np.float64)
-        self._wcet_mu = np.empty(n, dtype=np.float64)  # wcet + µ (dead head)
-        self._recmu = np.empty(n, dtype=np.float64)  # recovery + µ
-        self._dead_tail = np.empty(n, dtype=np.float64)  # reexec·(recovery+µ)
-        self.reexecutions = np.empty(n, dtype=np.int64)
-        self._always_starved = np.zeros(n, dtype=bool)
+        self.reexecutions = np.asarray(
+            [plan.instance.reexecutions for plan in plans], dtype=np.int64
+        )
 
-        # CSR-style flattened arrival-option table: per instance the slice
-        # [opt_lo[i], opt_hi[i]) of the flat arrays, per input group a
-        # start offset (relative to the instance's slice) for reduceat.
-        opt_src: list[int] = []
-        opt_thr: list[float] = []  # validity threshold on the source finish
-        opt_const: list[float] = []  # frame arrival constant (remote only)
-        opt_local: list[bool] = []
-        group_starts: list[int] = []
-        self._opt_lo = np.empty(n, dtype=np.intp)
-        self._opt_hi = np.empty(n, dtype=np.intp)
-        self._grp_lo = np.empty(n, dtype=np.intp)
-        self._grp_hi = np.empty(n, dtype=np.intp)
-
+        # Input options per instance and group: (sender, None) reads a
+        # local sender's output, (sender, message_ids) a remote sender's
+        # channel.  A sender placed later, or one that never runs, has
+        # no output yet when the scalar loop reaches the receiver, so it
+        # is no option.  A group left without options starves the
+        # instance in every scenario: it never runs and never sends.
+        inputs: dict[int, list[list[tuple[int, tuple[str, ...] | None]]]] = {}
+        last_read: dict[tuple[int, tuple[str, ...]], int] = {}
         for i, plan in enumerate(plans):
+            groups = [
+                [
+                    (index[source.iid],
+                     None if source.local else source.message_ids)
+                    for source in group
+                    if index[source.iid] in inputs
+                    and (source.local or source.message_ids)
+                ]
+                for group in plan.groups
+            ]
+            if all(groups):
+                inputs[i] = groups
+                for options in groups:
+                    for option in options:
+                        if option[1] is not None:
+                            last_read[option] = i
+
+        # Arrival matrix rows: [0, n) the instances, n always +inf, then
+        # channel slots.  Each sender's channels take adjacent slots, so
+        # one ``take`` writes them; a slot is free again once the last
+        # reader of its channel has run (a row reads before it sends).
+        never = n
+        channels: dict[int, list[tuple[str, ...]]] = {}
+        for sender, message_ids in last_read:
+            channels.setdefault(sender, []).append(message_ids)
+        free_after: list[int] = []  # per slot, the last row reading it
+        channel_row: dict[tuple[int, tuple[str, ...]], int] = {}
+        sends: dict[int, _Sends] = {}
+        for sender in sorted(channels):
+            carried = channels[sender]
+            lo = 0
+            while any(free_after[slot] > sender
+                      for slot in range(lo, min(lo + len(carried),
+                                                len(free_after)))):
+                lo += 1
+            free_after.extend([0] * (lo + len(carried) - len(free_after)))
+            for slot, message_ids in enumerate(carried, start=lo):
+                free_after[slot] = last_read[sender, message_ids]
+                channel_row[sender, message_ids] = n + 1 + slot
+            sends[sender] = _Sends(
+                n + 1 + lo, n + 1 + lo + len(carried),
+                *_channel_lookup(carried, medl),
+            )
+        self._arrival_rows = n + 1 + len(free_after)
+
+        self._rows: list[_Row] = []
+        for i, groups in inputs.items():
+            plan = plans[i]
             instance = plan.instance
-            recovery = instance.recovery_unit
-            self._node[i] = node_index[plan.node]
-            self._table[i] = plan.table_start
-            self._release[i] = plan.release
-            self._wcet[i] = instance.wcet
-            self._wcet_mu[i] = instance.wcet + mu
-            self._recmu[i] = recovery + mu
-            self._dead_tail[i] = instance.reexecutions * (recovery + mu)
-            self.reexecutions[i] = instance.reexecutions
+            recmu = instance.recovery_unit + mu
+            rows = [
+                [sender if message_ids is None
+                 else channel_row[sender, message_ids]
+                 for sender, message_ids in options]
+                for options in groups
+            ]
+            width = max(map(len, rows), default=0)
+            src = np.asarray(
+                [options + [never] * (width - len(options))
+                 for options in rows],
+                dtype=np.intp,
+            ).T.ravel() if rows else None
+            self._rows.append(_Row(
+                index=i,
+                node=node_index[plan.node],
+                floor=max(plan.table_start, plan.release),
+                wcet=instance.wcet,
+                wcet_mu=instance.wcet + mu,
+                recmu=recmu,
+                dead_tail=instance.reexecutions * recmu,
+                src=src,
+                groups=len(rows),
+                width=width,
+                sends=sends.get(i),
+            ))
 
-            self._opt_lo[i] = len(opt_src)
-            self._grp_lo[i] = len(group_starts)
-            for group in plan.groups:
-                group_starts.append(len(opt_src) - self._opt_lo[i])
-                before = len(opt_src)
-                for source in group:
-                    if source.local:
-                        opt_src.append(index[source.iid])
-                        opt_thr.append(np.inf)
-                        opt_const.append(0.0)
-                        opt_local.append(True)
-                        continue
-                    for message_id in source.message_ids:
-                        descriptor = medl[message_id]
-                        opt_src.append(index[source.iid])
-                        opt_thr.append(descriptor.slot_start + _BUS_EPS)
-                        opt_const.append(descriptor.arrival)
-                        opt_local.append(False)
-                if len(opt_src) == before:
-                    # A group with no possible arrival (remote sources
-                    # without matching frames): the scalar loop starves
-                    # this instance in every scenario.
-                    self._always_starved[i] = True
-            self._opt_hi[i] = len(opt_src)
-            self._grp_hi[i] = len(group_starts)
-
-        self._opt_src = np.asarray(opt_src, dtype=np.intp)
-        self._opt_thr = np.asarray(opt_thr, dtype=np.float64)[:, None]
-        self._opt_const = np.asarray(opt_const, dtype=np.float64)[:, None]
-        self._opt_local = np.asarray(opt_local, dtype=bool)[:, None]
-        self._group_starts = np.asarray(group_starts, dtype=np.intp)
-
-        # Completion rows: processes in FT-graph group order, each with
-        # the row indices of its replicas present in the schedule.
+        # Completion slots: slot r holds every process's r-th replica row
+        # (the +inf row where a process has fewer replicas scheduled).
         ft = simulator.ft
         self.processes: tuple[str, ...] = tuple(ft.group_of)
-        self._process_rows: list[np.ndarray] = [
+        replica_rows = [
+            [index[iid] for iid in replicas if iid in index]
+            for replicas in ft.group_of.values()
+        ]
+        replicas = max(map(len, replica_rows), default=0)
+        self._completion_slots = [
             np.asarray(
-                [index[iid] for iid in replicas if iid in index],
+                [rows[r] if r < len(rows) else never for rows in replica_rows],
                 dtype=np.intp,
             )
-            for replicas in ft.group_of.values()
+            for r in range(max(replicas, 1))
         ]
         self._align_cache: dict[tuple[str, ...], np.ndarray] = {}
 
@@ -262,7 +327,7 @@ class BatchSimulator:
             )
         if ids is not None:
             failures = failures[self.alignment(ids)]
-        n, width = failures.shape
+        n, columns = failures.shape
         if n != len(self.instance_ids):
             raise SimulationError(
                 f"failure matrix has {n} rows, schedule has "
@@ -272,75 +337,88 @@ class BatchSimulator:
             raise SimulationError("failure counts must be >= 0")
 
         inf = np.inf
-        start = np.full((n, width), inf)
-        finish = np.full((n, width), inf)
-        executed = np.zeros((n, width), dtype=bool)
-        produced = np.zeros((n, width), dtype=bool)
-        starved = np.zeros((n, width), dtype=bool)
-        node_time = np.zeros((len(self.nodes), width))
+        survives = failures <= self.reexecutions[:, None]
+        dying = (~survives.all(axis=1)).tolist()
+        start = np.full((n, columns), inf)
+        arrivals = np.full((self._arrival_rows, columns), inf)
+        chains = [np.zeros(columns)] * len(self.nodes)  # read, never written
+        busy = []  # (row, busy-end) of the rows with a dead replica
 
-        for i in range(n):
-            if self._always_starved[i]:
-                starved[i] = True
-                continue
-            lo, hi = self._opt_lo[i], self._opt_hi[i]
-            if lo == hi:
-                ready = self._release[i]
-                strv = None
+        for (i, node, floor, wcet, wcet_mu, recmu, dead_tail, src, groups,
+             width, sends) in self._rows:
+            row_start = start[i]
+            chain = chains[node]
+            if src is None:
+                np.maximum(chain, floor, out=row_start)
             else:
-                sources = self._opt_src[lo:hi]
-                fin = finish[sources]
-                avail = produced[sources] & (fin <= self._opt_thr[lo:hi])
-                values = np.where(
-                    self._opt_local[lo:hi], fin, self._opt_const[lo:hi]
+                reach = arrivals.take(src, axis=0)
+                if width > 1:
+                    reach = reach.reshape(width, groups, columns).min(axis=0)
+                ready = reach.max(axis=0) if groups > 1 else reach[0]
+                np.maximum(ready, floor, out=row_start)
+                np.maximum(row_start, chain, out=row_start)
+            out = arrivals[i]
+            if dying[i]:
+                alive = survives[i]
+                fin = np.where(
+                    alive,
+                    (row_start + wcet) + failures[i] * recmu,
+                    (row_start + wcet_mu) + dead_tail,
                 )
-                values = np.where(avail, values, inf)
-                group_min = np.minimum.reduceat(
-                    values,
-                    self._group_starts[self._grp_lo[i]:self._grp_hi[i]],
-                    axis=0,
-                )
-                strv = (group_min == inf).any(axis=0)
-                ready = np.maximum(self._release[i], group_min.max(axis=0))
-            chain = node_time[self._node[i]]
-            row_start = np.maximum(np.maximum(self._table[i], ready), chain)
-            counts = failures[i]
-            survives = counts <= self.reexecutions[i]
-            row_finish = np.where(
-                survives,
-                (row_start + self._wcet[i]) + counts * self._recmu[i],
-                (row_start + self._wcet_mu[i]) + self._dead_tail[i],
+                np.copyto(out, fin, where=alive)
+                busy.append((i, fin))
+            else:
+                fin = np.add(row_start, wcet, out=out)
+                fin += failures[i] * recmu
+            # A starved column (+inf start) leaves its node chain as is.
+            chains[node] = (
+                fin if src is None else np.where(row_start == inf, chain, fin)
             )
-            if strv is not None and strv.any():
-                ran = ~strv
-                starved[i] = strv
-                row_start = np.where(ran, row_start, inf)
-                row_finish = np.where(ran, row_finish, inf)
-            else:
-                ran = np.ones(width, dtype=bool)
-            executed[i] = ran
-            produced[i] = ran & survives
-            start[i] = row_start
-            finish[i] = row_finish
-            node_time[self._node[i]] = np.where(ran, row_finish, chain)
+            if sends is not None:
+                lo, hi, thresholds, table = sends
+                np.take(table, thresholds.searchsorted(out), axis=1,
+                        out=arrivals[lo:hi], mode="clip")
 
-        completions = np.full((len(self.processes), width), inf)
-        alive = np.zeros((len(self.processes), width), dtype=bool)
-        for p, rows in enumerate(self._process_rows):
-            if rows.size == 0:
-                continue
-            ok = produced[rows]
-            completions[p] = np.where(ok, finish[rows], inf).min(axis=0)
-            alive[p] = ok.any(axis=0)
-
+        slots = self._completion_slots
+        completions = arrivals.take(slots[0], axis=0)
+        for slot in slots[1:]:
+            np.minimum(completions, arrivals.take(slot, axis=0),
+                       out=completions)
+        # The instance rows become the finish matrix: dead replicas get
+        # their busy-end back once the completions have been read.
+        finish = arrivals[:n]
+        for i, fin in busy:
+            finish[i] = fin
+        starved = start == inf
+        executed = ~starved
         return BatchResult(
             sim=self,
             failures=failures,
             start=start,
             finish=finish,
             executed=executed,
-            produced=produced,
+            produced=executed & survives,
             starved=starved,
             completions=completions,
-            process_alive=alive,
+            process_alive=completions != inf,
         )
+
+
+def _channel_lookup(channels: list[tuple[str, ...]],
+                    medl) -> tuple[np.ndarray, np.ndarray]:
+    """``(thresholds, table)`` of one sender's channels (see :class:`_Sends`)."""
+    frames = {
+        message_id: (medl[message_id].slot_start + _BUS_EPS,
+                     medl[message_id].arrival)
+        for message_ids in channels
+        for message_id in message_ids
+    }
+    thresholds = sorted({threshold for threshold, _ in frames.values()})
+    table = np.full((len(channels), len(thresholds) + 1), np.inf)
+    for c, message_ids in enumerate(channels):
+        for j, bound in enumerate(thresholds):
+            valid = [arrival for threshold, arrival in
+                     (frames[m] for m in message_ids) if threshold >= bound]
+            if valid:
+                table[c, j] = min(valid)
+    return np.asarray(thresholds, dtype=np.float64), table

@@ -85,6 +85,31 @@ def test_double_fold_is_rejected(small_target):
         aggregate.fold(result)
 
 
+def test_negative_batch_size_is_rejected(small_target):
+    """A sweep with a negative block width simulated nothing; it must
+    not report a complete, violation-free plan."""
+    plan = make_plan(small_target, tier="exhaustive")
+    assert plan.total_scenarios - plan.importance_count == 45
+    with pytest.raises(SimulationError, match="batch size"):
+        run_shard(small_target, plan.shards[0], batch_size=-1)
+    with pytest.raises(SimulationError, match="batch size"):
+        run_inject_sweep(small_target, plan, batch_size=-1)
+
+
+def test_fold_rejects_a_result_short_of_its_budget(small_target):
+    """A result decoded from the wire with one draw removed is not folded."""
+    plan = make_plan(small_target, tier="exhaustive")
+    result = run_shard(small_target, plan.shards[-1])
+    tampered = result.to_dict()
+    tampered["draws"] -= 1
+    aggregate = InjectAggregate(plan=plan)
+    with pytest.raises(SimulationError, match="draws"):
+        aggregate.fold(ShardResult.from_dict(tampered))
+    assert aggregate.shards_folded == aggregate.draws == 0
+    aggregate.fold(result)
+    assert aggregate.draws == plan.shards[-1].scenario_budget
+
+
 def test_stratified_shards_are_reproducible(replicated_target):
     plan = make_plan(
         replicated_target, budget=300, shard_size=50, tier="stratified"

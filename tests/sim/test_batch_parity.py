@@ -44,12 +44,15 @@ _SLOW = settings(
 )
 
 #: (processes, nodes, k, seed, replicas) — mixed shapes: single-replica
-#: chains, replica groups with remote senders, k=3 deep strata.
+#: chains, replica groups with remote senders, k=3 deep strata, and two
+#: replicas on three nodes (receivers whose input groups differ in their
+#: number of possible arrivals, replicated groups with no local sender).
 _TARGET_SHAPES = (
     (8, 2, 2, 0, 1),
     (10, 3, 2, 3, 3),
     (12, 2, 3, 1, 2),
     (9, 3, 2, 7, 3),
+    (12, 3, 2, 0, 2),
 )
 
 
@@ -75,6 +78,48 @@ def _target(shape_index: int) -> InjectTarget:
 @lru_cache(maxsize=None)
 def _context(shape_index: int):
     return _target(shape_index).build_context()
+
+
+def _row_kinds(shape_index: int) -> set[str]:
+    """The kinds of replay rows a target holds, read off its FT graph."""
+    context = _context(shape_index)
+    ft = context.ft
+    kinds = set()
+    for iid in context.batch.instance_ids:
+        node = ft.instance(iid).node
+        groups = ft.inputs_of(iid)
+        if not groups:
+            kinds.add("input-less")
+        arrivals = []  # possible arrivals per input group
+        for group in groups:
+            local = [
+                src for src in group.sources if ft.instance(src).node == node
+            ]
+            if local and len(local) < len(group.sources):
+                kinds.add("local and remote senders")
+            if len(group.sources) > 1 and not local:
+                kinds.add("replicated group without a local sender")
+            arrivals.append(len(local) + sum(
+                1 for message in ft.bus_messages.values()
+                if message.sender in group.sources
+                and message.sender not in local
+                and message.message.name == group.message.name
+            ))
+        if len(set(arrivals)) > 1:
+            kinds.add("unequal group sizes")
+    return kinds
+
+
+def test_target_shapes_cover_the_kernel_row_kinds():
+    """The shapes together exercise every row layout the kernel pads,
+    gathers and reduces."""
+    kinds = set().union(*map(_row_kinds, range(len(_TARGET_SHAPES))))
+    assert kinds >= {
+        "input-less",
+        "local and remote senders",
+        "replicated group without a local sender",
+        "unequal group sizes",
+    }
 
 
 def _random_matrix(context, rng: np.random.Generator, width: int,
