@@ -569,10 +569,12 @@ def _run_inject(args: argparse.Namespace, parser, progress) -> int:
     from repro.experiments.reporting import format_inject
     from repro.inject.driver import run_inject_sweep
     from repro.inject.runner import DEFAULT_BATCH_SIZE
-    from repro.inject.importance import importance_scenarios
     from repro.inject.plan import plan_sweep
-    from repro.inject.space import ScenarioSpace
-    from repro.inject.target import InjectTarget, target_from_optimization
+    from repro.inject.target import (
+        InjectTarget,
+        cached_context,
+        target_from_optimization,
+    )
 
     if args.resume and args.broker is None:
         parser.error("--resume requires --broker")
@@ -615,12 +617,12 @@ def _run_inject(args: argparse.Namespace, parser, progress) -> int:
             target = target_from_optimization(result, case.application)
 
     with obs.span("plan") as sp:
-        context = target.build_context()
-        space = ScenarioSpace.of(context.ft, case.faults.k)
-        ranked = importance_scenarios(target.record, context.ft, case.faults.k)
+        # The cached context is the one the inline shards replay against,
+        # so its space and importance list are derived once per run.
+        context = cached_context(target, target.fingerprint())
         plan = plan_sweep(
-            space,
-            len(ranked),
+            context.space,
+            len(context.importance),
             budget=args.budget,
             shard_size=args.shard_size,
             seed=args.sweep_seed,

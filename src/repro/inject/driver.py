@@ -1,19 +1,13 @@
-"""Injection sweep driver: enqueue shards, attach workers, fold results.
+"""Injection sweep driver: encode shards, fold their results as they land.
 
-Mirrors the experiment sweep driver (:mod:`repro.queue.driver`) but for
-fault-injection shards, with one structural difference: shard results are
-**folded as they land, in any order** — the streaming aggregate
-(:class:`~repro.inject.aggregate.InjectAggregate`) is order-independent,
-so there is no submission-order result list to reconstruct and no reason
-to stall the fold behind a slow early shard.
-
-Resume semantics match ``ftds sweep --resume``: each shard's durable
-identity is :func:`~repro.inject.partition.shard_fingerprint` (target
-fingerprint × shard coordinates).  Re-driving the same sweep against the
-same broker folds ``done`` shards straight from their stored results
-(checkpoint hits), leaves in-flight shards alone, grants dead shards a
-fresh attempt budget, and refuses a broker holding shards of a
-*different* sweep (orphan fingerprints) before mutating anything.
+The shard adapter of the shared sweep driver
+(:func:`repro.queue.driver.drive`, which owns submission, resume, dead
+letters, liveness and timeouts, as for ``ftds sweep``).  A shard's
+durable identity is :func:`~repro.inject.partition.shard_fingerprint`
+(target fingerprint × shard coordinates).  Results are **folded as they
+land, in any order**: the streaming
+:class:`~repro.inject.aggregate.InjectAggregate` is order-independent,
+so nothing stalls behind a slow early shard.
 
 With ``broker=None`` the sweep runs inline — same plan, same shards,
 same aggregate, no queue, no checkpointing — which is both the
@@ -23,58 +17,30 @@ against.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
-from repro import obs
-from repro.errors import ConfigurationError, QueueError
 from repro.inject.aggregate import InjectAggregate
 from repro.inject.partition import shard_fingerprint
 from repro.inject.plan import SamplingPlan
 from repro.inject.runner import DEFAULT_BATCH_SIZE, run_shard
 from repro.inject.target import InjectTarget
 from repro.obs.progress import ProgressReporter
-from repro.queue.broker import (
-    Broker,
-    DEFAULT_MAX_ATTEMPTS,
-    DONE,
-    publish_queue_counts,
-)
-from repro.queue.driver import _spawn_local_workers
+from repro.queue.broker import Broker, DEFAULT_MAX_ATTEMPTS
+from repro.queue.driver import SweepPlan, SweepStats, drive, enqueue
 from repro.queue.worker import DEFAULT_LEASE_S
 
 
-@dataclass
-class InjectSweepStats:
-    """Bookkeeping of one driven injection sweep."""
+def _shard_jobs(
+    target: InjectTarget, plan: SamplingPlan
+) -> tuple[list[str], Iterator[str]]:
+    """(fingerprints, lazily encoded payloads) of every shard of ``plan``."""
+    from repro.io.inject_codec import encode_shard_job
 
-    total: int = 0
-    enqueued: int = 0
-    checkpoint_hits: int = 0  # shards already done at submission
-    reset_dead: int = 0
-    completed: int = 0  # shards folded this invocation (checkpoints included)
-    dead: int = 0
-
-    def summary(self) -> str:
-        parts = [f"{self.completed}/{self.total} shards folded"]
-        if self.checkpoint_hits:
-            parts.append(f"{self.checkpoint_hits} from checkpoint")
-        if self.reset_dead:
-            parts.append(f"{self.reset_dead} dead shards retried")
-        if self.dead:
-            parts.append(f"{self.dead} dead-lettered")
-        return ", ".join(parts)
-
-
-@dataclass
-class InjectSweepPlan:
-    """The enqueue outcome: per-shard identities plus submission stats."""
-
-    plan: SamplingPlan
-    target_fingerprint: str
-    fingerprints: list[str] = field(default_factory=list)
-    stats: InjectSweepStats = field(default_factory=InjectSweepStats)
+    target_fp = target.fingerprint()
+    target_dict = target.to_dict()
+    fingerprints = [shard_fingerprint(target_fp, spec) for spec in plan.shards]
+    payloads = (encode_shard_job(target_dict, spec) for spec in plan.shards)
+    return fingerprints, payloads
 
 
 def enqueue_shards(
@@ -83,100 +49,11 @@ def enqueue_shards(
     broker: Broker,
     resume: bool = False,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-) -> InjectSweepPlan:
-    """Submit every shard of ``plan`` idempotently (see module docstring)."""
-    from repro.io.inject_codec import encode_shard_job
-
-    if not resume and broker.pending().total > 0:
-        raise ConfigurationError(
-            "broker already holds jobs; pass resume=True (--resume) to "
-            "continue that sweep, or point at a fresh broker path"
-        )
-    target_fp = target.fingerprint()
-    sweep = InjectSweepPlan(plan=plan, target_fingerprint=target_fp)
-    sweep.stats.total = len(plan.shards)
-    sweep.fingerprints = [
-        shard_fingerprint(target_fp, spec) for spec in plan.shards
-    ]
-    known = broker.states()
-    orphans = set(known) - set(sweep.fingerprints)
-    if orphans:
-        # A changed target/budget/seed re-fingerprints every shard; abort
-        # BEFORE enqueueing so the old sweep's shards don't silently keep
-        # burning worker time next to the new ones.
-        raise ConfigurationError(
-            f"broker holds {len(orphans)} job(s) that are not part of this "
-            "sweep; a resumed sweep must use the original target and "
-            "parameters — point changed sweeps at a fresh broker path"
-        )
-    if resume:
-        sweep.stats.reset_dead = broker.reset_dead()
-    target_dict = target.to_dict()
-    for fingerprint, spec in zip(sweep.fingerprints, plan.shards):
-        state = known.get(fingerprint)
-        if state is None:
-            broker.enqueue(
-                fingerprint, encode_shard_job(target_dict, spec), max_attempts
-            )
-            sweep.stats.enqueued += 1
-        elif state == DONE:
-            sweep.stats.checkpoint_hits += 1
-    return sweep
-
-
-def collect_shards(
-    sweep: InjectSweepPlan,
-    broker: Broker,
-    aggregate: InjectAggregate,
-    progress: Callable[[str], None] | None = None,
-    poll_interval_s: float = 0.1,
-    timeout_s: float | None = None,
-    liveness: Callable[[], bool] | None = None,
-) -> InjectSweepStats:
-    """Fold every shard's result into ``aggregate`` as acks land."""
-    from repro.io.inject_codec import decode_shard_result
-
-    stats = sweep.stats
-    waiting = dict(zip(sweep.fingerprints, sweep.plan.shards))
-    total = len(sweep.fingerprints)
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    reporter = ProgressReporter(progress, total, metric="inject.results")
-    while waiting:
-        states = broker.states()
-        landed = [fp for fp in waiting if states.get(fp) == DONE]
-        for fingerprint in landed:
-            spec = waiting.pop(fingerprint)
-            result = decode_shard_result(broker.result(fingerprint))
-            aggregate.fold(result)
-            stats.completed += 1
-            reporter.step(
-                spec.describe(),
-                note=(
-                    f"{result.scenarios} scenarios, "
-                    f"{result.violation_scenarios} violations, "
-                    f"residual<={aggregate.residual_upper_bound():.2e}, "
-                    f"{_phase_note(result)}"
-                ),
-            )
-        if not waiting:
-            break
-        counts = publish_queue_counts(broker.pending())
-        if counts.unfinished == 0:
-            if broker.dead_letters():
-                _raise_dead_letters(sweep, broker, stats)
-            continue  # final ack raced the states() snapshot; re-poll
-        if liveness is not None and not liveness():
-            raise QueueError(
-                f"all local workers exited with {len(waiting)} shard(s) "
-                "unfinished and no remote workers attached"
-            )
-        if deadline is not None and time.monotonic() > deadline:
-            raise QueueError(
-                f"injection sweep timed out with {len(waiting)} of "
-                f"{total} shard(s) unfinished"
-            )
-        time.sleep(poll_interval_s)
-    return stats
+) -> SweepPlan:
+    """Submit every shard of ``plan`` idempotently (see
+    :mod:`repro.queue.driver` for resume)."""
+    fingerprints, payloads = _shard_jobs(target, plan)
+    return enqueue(broker, fingerprints, payloads, resume, max_attempts)
 
 
 def _phase_note(result) -> str:
@@ -202,7 +79,7 @@ def run_inject_sweep(
     poll_interval_s: float = 0.1,
     timeout_s: float | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
-) -> tuple[InjectAggregate, InjectSweepStats]:
+) -> tuple[InjectAggregate, SweepStats]:
     """Drive one injection sweep and return its folded aggregate.
 
     ``broker=None`` executes every shard inline in this process (no
@@ -213,12 +90,12 @@ def run_inject_sweep(
     workers always replay through the batch default.
     """
     aggregate = InjectAggregate(plan=plan, alpha=alpha)
+    reporter = ProgressReporter(
+        progress, len(plan.shards), metric="inject.results"
+    )
     if broker is None:
-        stats = InjectSweepStats(total=len(plan.shards))
+        stats = SweepStats(total=len(plan.shards))
         target_fp = target.fingerprint()
-        reporter = ProgressReporter(
-            progress, stats.total, metric="inject.results"
-        )
         for spec in plan.shards:
             result = run_shard(target, spec, target_fp, batch_size=batch_size)
             aggregate.fold(result)
@@ -234,60 +111,28 @@ def run_inject_sweep(
         aggregate.publish_metrics()
         return aggregate, stats
 
-    with obs.span("enqueue") as sp:
-        sweep = enqueue_shards(
-            target, plan, broker, resume=resume, max_attempts=max_attempts
+    from repro.io.inject_codec import decode_shard_result
+
+    def fold(index: int, text: str) -> None:
+        result = decode_shard_result(text)
+        aggregate.fold(result)
+        reporter.step(
+            plan.shards[index].describe(),
+            note=(
+                f"{result.scenarios} scenarios, "
+                f"{result.violation_scenarios} violations, "
+                f"residual<={aggregate.residual_upper_bound():.2e}, "
+                f"{_phase_note(result)}"
+            ),
         )
-        sp.set(
-            total=sweep.stats.total,
-            enqueued=sweep.stats.enqueued,
-            checkpoint_hits=sweep.stats.checkpoint_hits,
-        )
-    if sweep.stats.checkpoint_hits:
-        ProgressReporter(progress, sweep.stats.total).announce(
-            f"resume: {sweep.stats.checkpoint_hits}/{sweep.stats.total} "
-            "shard(s) already complete (checkpoint hits)"
-        )
-    workers = _spawn_local_workers(broker, local_workers, lease_s, None)
-    try:
-        liveness = None
-        if workers:
-            liveness = lambda: any(w.is_alive() for w in workers)
-        stats = collect_shards(
-            sweep,
-            broker,
-            aggregate,
-            progress=progress,
-            poll_interval_s=poll_interval_s,
-            timeout_s=timeout_s,
-            liveness=liveness,
-        )
-    except BaseException:
-        for worker in workers:
-            worker.join(timeout=1.0)
-        raise
-    for worker in workers:
-        worker.join(timeout=lease_s + 30.0)
+
+    fingerprints, payloads = _shard_jobs(target, plan)
+    stats = drive(
+        broker, fingerprints, payloads, fold,
+        lambda index: plan.shards[index].describe(),
+        resume=resume, local_workers=local_workers, progress=progress,
+        lease_s=lease_s, validate_samples=None, max_attempts=max_attempts,
+        poll_interval_s=poll_interval_s, timeout_s=timeout_s,
+    )
     aggregate.publish_metrics()
     return aggregate, stats
-
-
-def _raise_dead_letters(
-    sweep: InjectSweepPlan, broker: Broker, stats: InjectSweepStats
-) -> None:
-    """Report dead-lettered shards by coordinates instead of hanging."""
-    by_fingerprint = dict(zip(sweep.fingerprints, sweep.plan.shards))
-    letters = broker.dead_letters()
-    stats.dead = len(letters)
-    obs.get_registry().set("queue.depth.dead", len(letters))
-    details = []
-    for letter in letters[:10]:
-        spec = by_fingerprint.get(letter.fingerprint)
-        label = spec.describe() if spec else letter.fingerprint[:12]
-        details.append(
-            f"{label} (attempts {letter.attempts}): {letter.error}"
-        )
-    raise QueueError(
-        f"injection sweep dead-lettered {len(letters)} shard(s) after "
-        "bounded retries: " + "; ".join(details)
-    )

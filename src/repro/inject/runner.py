@@ -4,12 +4,19 @@ A shard never travels with scenarios — only coordinates.  The runner
 re-materializes them locally (an index range for exhaustive shards,
 seeded RNG draws for stratified shards, the deterministic importance
 list for wave 0) and replays them through the target's cached
-**batched** simulator.  Each block of ``batch_size`` scenarios is built
-array-native as one int64 count matrix: range and draw indices go
-through :meth:`~repro.inject.space.ScenarioSpace.counts_range` /
+**batched** simulator.  Everything derived from the target — replay
+context, scenario space, importance list — lives on one
+:class:`~repro.inject.target.InjectContext`, cached per target
+fingerprint by :func:`~repro.inject.target.cached_context`, so a worker
+draining a sweep derives each once, not once per shard.
+
+Each block of ``batch_size`` scenarios is built array-native as one
+int64 count matrix: range and draw indices go through
+:meth:`~repro.inject.space.ScenarioSpace.counts_range` /
 ``sample_counts``, one numpy unrank walk per block with no per-scenario
-Python loop, and importance scenarios through ``counts_matrix``.  One :meth:`~repro.sim.batch.BatchSimulator.run_batch`
-call replays every column at once, and
+Python loop, and importance scenarios through ``counts_matrix``.  One
+:meth:`~repro.sim.batch.BatchSimulator.run_batch` call replays every
+column at once, and
 :class:`~repro.sim.validate.BatchChecker` reduces the block to per-kind
 violation masks.  Only *violating* columns are re-materialized as
 :class:`FaultScenario` objects and re-run through the scalar
@@ -38,7 +45,6 @@ from repro import obs
 from repro.errors import SimulationError
 from repro.obs.metrics import MetricsRegistry
 from repro.inject.aggregate import Exemplar, ShardResult
-from repro.inject.importance import importance_scenarios
 from repro.inject.partition import (
     ShardSpec,
     TIER_EXHAUSTIVE,
@@ -56,52 +62,10 @@ from repro.sim.validate import check_scenario
 #: cache-resident (`ftds inject --batch-size` overrides; 0 = scalar).
 DEFAULT_BATCH_SIZE = 1024
 
-#: Per-fingerprint (space, importance list) caches — derived from the
-#: target exactly like the replay context, shared across a sweep's
-#: shards.  LRU: hits re-insert at the back, eviction pops the front, so
-#: interleaving shards of >limit targets never evicts the active one.
-_SPACE_CACHE: dict[str, ScenarioSpace] = {}
-_IMPORTANCE_CACHE: dict[str, list[FaultScenario]] = {}
-_DERIVED_CACHE_LIMIT = 4
 
-
-def _cache_get(cache: dict, key: str):
-    value = cache.pop(key, None)
-    if value is not None:
-        cache[key] = value  # move to the back: most recently used
-    return value
-
-
-def _cache_put(cache: dict, key: str, value) -> None:
-    cache.pop(key, None)
-    if len(cache) >= _DERIVED_CACHE_LIMIT:
-        cache.pop(next(iter(cache)))  # least recently used
-    cache[key] = value
-
-
-def _space_of(context: InjectContext, target: InjectTarget,
-              fingerprint: str) -> ScenarioSpace:
-    space = _cache_get(_SPACE_CACHE, fingerprint)
-    if space is None:
-        space = ScenarioSpace.of(context.ft, target.faults.k)
-        _cache_put(_SPACE_CACHE, fingerprint, space)
-    return space
-
-
-def _importance_of(context: InjectContext, target: InjectTarget,
-                   fingerprint: str) -> list[FaultScenario]:
-    scenarios = _cache_get(_IMPORTANCE_CACHE, fingerprint)
-    if scenarios is None:
-        scenarios = importance_scenarios(
-            target.record, context.ft, target.faults.k
-        )
-        _cache_put(_IMPORTANCE_CACHE, fingerprint, scenarios)
-    return scenarios
-
-
-def _importance_slice(context: InjectContext, target: InjectTarget,
-                      fingerprint: str, spec: ShardSpec) -> list[FaultScenario]:
-    ranked = _importance_of(context, target, fingerprint)
+def _importance_slice(context: InjectContext,
+                      spec: ShardSpec) -> list[FaultScenario]:
+    ranked = context.importance
     if spec.hi > len(ranked):
         raise SimulationError(
             f"importance shard [{spec.lo}, {spec.hi}) exceeds the "
@@ -151,14 +115,10 @@ def run_shard(
     ) as sp:
         if batch_size:
             _run_shard_batched(
-                context, target, spec, fingerprint, result, stratum_key,
-                batch_size, phases,
+                context, spec, result, stratum_key, batch_size, phases
             )
         else:
-            _run_shard_scalar(
-                context, target, spec, fingerprint, result, stratum_key,
-                phases,
-            )
+            _run_shard_scalar(context, spec, result, stratum_key, phases)
         sp.set(scenarios=result.scenarios, draws=result.draws)
     result.materialize_s = phases.value("materialize_s")
     result.simulate_s = phases.value("simulate_s")
@@ -227,9 +187,7 @@ def _stratified_trials(space: ScenarioSpace, spec: ShardSpec):
 
 def _run_shard_scalar(
     context: InjectContext,
-    target: InjectTarget,
     spec: ShardSpec,
-    fingerprint: str,
     result: ShardResult,
     stratum_key: int,
     phases: MetricsRegistry,
@@ -238,7 +196,7 @@ def _run_shard_scalar(
     trials: list[tuple[FaultScenario, int, int]]
     with phases.timer("materialize"):
         if spec.tier == TIER_EXHAUSTIVE:
-            space = _space_of(context, target, fingerprint)
+            space = context.space
             trials = [
                 (space.scenario(counts), 1, offset)
                 for offset, counts in enumerate(
@@ -246,7 +204,7 @@ def _run_shard_scalar(
                 )
             ]
         elif spec.tier == TIER_STRATIFIED:
-            space = _space_of(context, target, fingerprint)
+            space = context.space
             distinct, multiplicity, first_offset = _stratified_trials(
                 space, spec
             )
@@ -262,7 +220,7 @@ def _run_shard_scalar(
             trials = [
                 (scenario, 1, offset)
                 for offset, scenario in enumerate(
-                    _importance_slice(context, target, fingerprint, spec)
+                    _importance_slice(context, spec)
                 )
             ]
         else:  # pragma: no cover - ShardSpec validates tiers
@@ -286,9 +244,7 @@ def _run_shard_scalar(
 
 def _run_shard_batched(
     context: InjectContext,
-    target: InjectTarget,
     spec: ShardSpec,
-    fingerprint: str,
     result: ShardResult,
     stratum_key: int,
     batch_size: int,
@@ -303,7 +259,7 @@ def _run_shard_batched(
     re-classification of the (rare) violating columns so messages and
     exemplar orders match the scalar path exactly.
     """
-    space = _space_of(context, target, fingerprint)
+    space = context.space
     batch = context.batch
     checker = context.checker
     ids = space.ids
@@ -361,7 +317,7 @@ def _run_shard_batched(
             )
     elif spec.tier == TIER_IMPORTANCE:
         with phases.timer("materialize"):
-            ranked = _importance_slice(context, target, fingerprint, spec)
+            ranked = _importance_slice(context, spec)
         for lo in range(0, len(ranked), batch_size):
             chunk = ranked[lo:lo + batch_size]
             with phases.timer("materialize"):

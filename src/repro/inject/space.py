@@ -336,16 +336,3 @@ class ScenarioSpace:
                 iid: int(f) for iid, f in zip(self.ids, counts) if f > 0
             }
         )
-
-    def counts_of(self, scenario: FaultScenario) -> tuple[int, ...]:
-        """The count vector of a scenario (unknown ids are an error)."""
-        index_of = {iid: i for i, iid in enumerate(self.ids)}
-        counts = [0] * len(self.ids)
-        for iid, f in scenario.failures.items():
-            try:
-                counts[index_of[iid]] = f
-            except KeyError:
-                raise SimulationError(
-                    f"scenario names unknown instance {iid!r}"
-                ) from None
-        return tuple(counts)

@@ -19,10 +19,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from repro.errors import SimulationError
+from repro.inject.importance import importance_scenarios
+from repro.inject.space import ScenarioSpace
 from repro.io.json_codec import (
     application_from_dict,
     application_to_dict,
@@ -39,6 +42,7 @@ from repro.opt.implementation import Implementation
 from repro.schedule.record import ScheduleRecord
 from repro.sim.batch import BatchSimulator
 from repro.sim.engine import SystemSimulator
+from repro.sim.faults import FaultScenario
 from repro.sim.validate import BatchChecker
 
 
@@ -49,14 +53,28 @@ class InjectContext:
     Carries both replay tiers: the scalar :class:`SystemSimulator`
     (exemplar detail, fallback) and the columnar :class:`BatchSimulator`
     plus its compiled :class:`BatchChecker` (the shard hot path) — all
-    derived from the same record, compiled once per target.
+    derived from the same record, compiled once per target.  The
+    scenario space and the importance list are derived on first use and
+    then kept with the context, so every shard of a sweep shares them.
     """
 
     merged: ProcessGraph
     ft: FTGraph
+    record: ScheduleRecord
+    k: int
     simulator: SystemSimulator
     batch: BatchSimulator
     checker: BatchChecker
+
+    @cached_property
+    def space(self) -> ScenarioSpace:
+        """The target's ≤k count-vector scenario space."""
+        return ScenarioSpace.of(self.ft, self.k)
+
+    @cached_property
+    def importance(self) -> list[FaultScenario]:
+        """The deterministic importance list (wave 0 of every plan)."""
+        return importance_scenarios(self.record, self.ft, self.k)
 
 
 @dataclass(frozen=True)
@@ -111,8 +129,8 @@ class InjectTarget:
         batch = BatchSimulator(simulator)
         checker = BatchChecker(simulator.schedule, batch)
         return InjectContext(
-            merged=merged, ft=ft, simulator=simulator,
-            batch=batch, checker=checker,
+            merged=merged, ft=ft, record=self.record, k=self.faults.k,
+            simulator=simulator, batch=batch, checker=checker,
         )
 
 
@@ -120,7 +138,8 @@ class InjectTarget:
 
 #: Rebuilt contexts keyed by target fingerprint.  A sweep's shards all
 #: share one target, so a worker draining a queue rebuilds the (graph,
-#: FT graph, simulator) context once, not once per shard.
+#: FT graph, simulator, scenario space, importance list) context once,
+#: not once per shard.
 _CONTEXT_CACHE: dict[str, InjectContext] = {}
 _CONTEXT_CACHE_LIMIT = 4
 

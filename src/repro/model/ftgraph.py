@@ -24,7 +24,7 @@ from functools import cached_property
 import networkx as nx
 
 from repro.errors import ModelError
-from repro.model.application import Message, ProcessGraph
+from repro.model.application import Message, Process, ProcessGraph
 from repro.model.fault import FaultModel
 from repro.model.mapping import ReplicaMapping
 from repro.model.policy import PolicyAssignment
@@ -220,36 +220,9 @@ def build_ft_graph(
     faults or the mapping disagrees with the policy's replica count.
     """
     ft = FTGraph()
-    for name, process in graph.processes.items():
-        policy = policies[name]
-        policy.validate_for(faults.k)
-        nodes = mapping[name]
-        if len(nodes) != policy.n_replicas:
-            raise ModelError(
-                f"process {name!r}: {len(nodes)} mapped replicas but policy "
-                f"has {policy.n_replicas}"
-            )
-        ids = []
-        for replica, node in enumerate(nodes):
-            iid = instance_id(name, replica)
-            wcet = process.wcet_on(node)
-            if policy.checkpoints > 0:
-                wcet += policy.checkpoints * faults.checkpoint_overhead
-            inst = Instance(
-                id=iid,
-                process=name,
-                replica=replica,
-                node=node,
-                wcet=wcet,
-                reexecutions=policy.reexecutions[replica],
-                release=process.release,
-                deadline=process.deadline,
-                checkpoints=policy.checkpoints,
-            )
-            ft.instances[iid] = inst
+    for process in graph.processes.values():
+        for iid in _add_instances(ft, process, policies, mapping, faults):
             ft._add_node(iid)
-            ids.append(iid)
-        ft.group_of[name] = tuple(ids)
 
     for name in graph:
         receivers = ft.group_of[name]
@@ -263,7 +236,8 @@ def build_ft_graph(
         for dst_iid in receivers:
             ft.inputs[dst_iid] = tuple(groups)
 
-    _collect_bus_messages(graph, ft, faults.k)
+    for name in graph:
+        _add_frames(ft, graph, name, faults.k)
     return ft
 
 
@@ -296,15 +270,6 @@ def ft_graph_with_move(
     "unchanged" with identity checks.  The base graph is never mutated:
     every container that differs is a fresh copy.
     """
-    policy = policies[process]
-    policy.validate_for(faults.k)
-    nodes = mapping[process]
-    if len(nodes) != policy.n_replicas:
-        raise ModelError(
-            f"process {process!r}: {len(nodes)} mapped replicas but policy "
-            f"has {policy.n_replicas}"
-        )
-    proc = graph.processes[process]
     old_ids = base.group_of[process]
 
     ft = FTGraph()
@@ -320,32 +285,15 @@ def ft_graph_with_move(
     for iid in old_ids:
         del ft.instances[iid]
         del ft.inputs[iid]
-    new_ids = []
-    for replica, node in enumerate(nodes):
-        iid = instance_id(process, replica)
-        wcet = proc.wcet_on(node)
-        if policy.checkpoints > 0:
-            wcet += policy.checkpoints * faults.checkpoint_overhead
-        ft.instances[iid] = Instance(
-            id=iid,
-            process=process,
-            replica=replica,
-            node=node,
-            wcet=wcet,
-            reexecutions=policy.reexecutions[replica],
-            release=proc.release,
-            deadline=proc.deadline,
-            checkpoints=policy.checkpoints,
-        )
-        new_ids.append(iid)
-    new_group = tuple(new_ids)
-    ft.group_of[process] = new_group
+    new_group = _add_instances(
+        ft, graph.process(process), policies, mapping, faults
+    )
 
     # Input groups: the moved process keeps its base groups verbatim (its
     # senders did not change); each successor's group over ``process`` is
     # re-pointed at the new replica tuple, other groups stay shared.
     base_inputs = base.inputs.get(old_ids[0], ())
-    for iid in new_ids:
+    for iid in new_group:
         ft.inputs[iid] = base_inputs
     succ_processes = sorted({m.dst for m in graph.out_messages(process)})
     pred_processes = sorted({m.src for m in graph.in_messages(process)})
@@ -390,18 +338,18 @@ def ft_graph_with_move(
                         seen.add(src_iid)
                         preds.append(src_iid)
             ft._pred[iid] = preds
-    for iid in old_ids[len(new_ids):]:
+    for iid in old_ids[len(new_group):]:
         del ft._succ[iid]
         del ft._pred[iid]
-    if len(new_ids) != len(old_ids):
+    if len(new_group) != len(old_ids):
         ft._edges = {
             (src, dst) for src, succs in ft._succ.items() for dst in succs
         }
 
-    # Bus frames: senders in the cone get their frame lists rebuilt with the
-    # same per-sender ordering as :func:`_collect_bus_messages` (the list
-    # scheduler packs a sender's frames in list order, so the order is part
-    # of byte-level schedule identity).
+    # Bus frames: senders in the cone get their frame lists rebuilt by the
+    # same step as :func:`build_ft_graph` (the list scheduler packs a
+    # sender's frames in list order, so the order is part of byte-level
+    # schedule identity).
     rebuilt_senders = {
         iid for name in sender_processes for iid in ft.group_of[name]
     } | set(old_ids)
@@ -413,29 +361,52 @@ def ft_graph_with_move(
     for iid in rebuilt_senders:
         ft._out_bus.pop(iid, None)
     for name in sender_processes:
-        group = ft.group_of[name]
-        backed = _guaranteed_backed(ft, group, faults.k)
-        for message in graph.out_messages(name):
-            receiver_nodes = {
-                ft.instances[iid].node for iid in ft.group_of[message.dst]
-            }
-            for src_iid in group:
-                sender = ft.instances[src_iid]
-                if not receiver_nodes - {sender.node}:
-                    continue
-                if len(group) == 1:
-                    kinds = ("masked",)
-                elif src_iid in backed:
-                    kinds = ("fast", "guaranteed")
-                else:
-                    kinds = ("fast",)
-                for kind in kinds:
-                    bus_msg = BusMessage(
-                        sender=src_iid, message=message, kind=kind
-                    )
-                    ft.bus_messages[bus_msg.id] = bus_msg
-                    ft._out_bus.setdefault(src_iid, []).append(bus_msg)
+        _add_frames(ft, graph, name, faults.k)
     return ft
+
+
+def _add_instances(
+    ft: FTGraph,
+    process: Process,
+    policies: PolicyAssignment,
+    mapping: ReplicaMapping,
+    faults: FaultModel,
+) -> tuple[str, ...]:
+    """Add ``process``'s replica instances to ``ft``; returns their ids.
+
+    Raises :class:`ModelError` if the policy does not tolerate
+    ``faults.k`` faults or the mapping disagrees with its replica count.
+    """
+    name = process.name
+    policy = policies[name]
+    policy.validate_for(faults.k)
+    nodes = mapping[name]
+    if len(nodes) != policy.n_replicas:
+        raise ModelError(
+            f"process {name!r}: {len(nodes)} mapped replicas but policy "
+            f"has {policy.n_replicas}"
+        )
+    ids = []
+    for replica, node in enumerate(nodes):
+        iid = instance_id(name, replica)
+        wcet = process.wcet_on(node)
+        if policy.checkpoints > 0:
+            wcet += policy.checkpoints * faults.checkpoint_overhead
+        ft.instances[iid] = Instance(
+            id=iid,
+            process=name,
+            replica=replica,
+            node=node,
+            wcet=wcet,
+            reexecutions=policy.reexecutions[replica],
+            release=process.release,
+            deadline=process.deadline,
+            checkpoints=policy.checkpoints,
+        )
+        ids.append(iid)
+    group = tuple(ids)
+    ft.group_of[name] = group
+    return group
 
 
 def _guaranteed_backed(ft: FTGraph, group: tuple[str, ...], k: int) -> set[str]:
@@ -453,8 +424,8 @@ def _guaranteed_backed(ft: FTGraph, group: tuple[str, ...], k: int) -> set[str]:
     return backed
 
 
-def _collect_bus_messages(graph: ProcessGraph, ft: FTGraph, k: int) -> None:
-    """Create the broadcast frames every sender instance must transmit.
+def _add_frames(ft: FTGraph, graph: ProcessGraph, name: str, k: int) -> None:
+    """Create the broadcast frames every replica of process ``name`` sends.
 
     A frame is needed whenever at least one receiver replica lives on a
     different node.  Sole replicas send one transparently-masked frame;
@@ -472,24 +443,23 @@ def _collect_bus_messages(graph: ProcessGraph, ft: FTGraph, k: int) -> None:
     policy of Fig. 2c), so they are backed for free; 0-re-execution
     replicas are added in replica order only until the price is met.
     """
-    for name in graph:
-        group = ft.group_of[name]
-        backed = _guaranteed_backed(ft, group, k)
-        for message in graph.out_messages(name):
-            receiver_nodes = {
-                ft.instances[iid].node for iid in ft.group_of[message.dst]
-            }
-            for src_iid in group:
-                sender = ft.instances[src_iid]
-                if not receiver_nodes - {sender.node}:
-                    continue
-                if len(group) == 1:
-                    kinds = ("masked",)
-                elif src_iid in backed:
-                    kinds = ("fast", "guaranteed")
-                else:
-                    kinds = ("fast",)
-                for kind in kinds:
-                    bus_msg = BusMessage(sender=src_iid, message=message, kind=kind)
-                    ft.bus_messages[bus_msg.id] = bus_msg
-                    ft._out_bus.setdefault(src_iid, []).append(bus_msg)
+    group = ft.group_of[name]
+    backed = _guaranteed_backed(ft, group, k)
+    for message in graph.out_messages(name):
+        receiver_nodes = {
+            ft.instances[iid].node for iid in ft.group_of[message.dst]
+        }
+        for src_iid in group:
+            sender = ft.instances[src_iid]
+            if not receiver_nodes - {sender.node}:
+                continue
+            if len(group) == 1:
+                kinds = ("masked",)
+            elif src_iid in backed:
+                kinds = ("fast", "guaranteed")
+            else:
+                kinds = ("fast",)
+            for kind in kinds:
+                bus_msg = BusMessage(sender=src_iid, message=message, kind=kind)
+                ft.bus_messages[bus_msg.id] = bus_msg
+                ft._out_bus.setdefault(src_iid, []).append(bus_msg)

@@ -34,10 +34,6 @@ class MergedGraph(ProcessGraph):
         #: (graph name, occurrence) -> (absolute deadline, sink names)
         self.occurrence_deadlines: dict[tuple[str, int], tuple[float, list[str]]] = {}
 
-    def deadline_of(self, merged_name: str) -> float | None:
-        """The individual absolute deadline of a merged process, if any."""
-        return self.process(merged_name).deadline
-
 
 def merged_name(process: str, occurrence: int, occurrences: int) -> str:
     """Merged vertex name: plain for single-rate graphs, ``P@o`` otherwise."""

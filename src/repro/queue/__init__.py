@@ -1,12 +1,14 @@
 """Distributed experiment queue: brokers, workers and the sweep driver.
 
-The paper-scale Table 1 / Figure 10 sweeps are embarrassingly parallel;
-this package fans them out beyond one machine.  A *broker* stores durable
-JSON job payloads with at-least-once delivery (``enqueue / lease / ack /
-nack``), *workers* lease jobs, optimize, fault-inject the winning
-schedules and ack validated results, and the *driver* enqueues sweeps and
-streams results back in deterministic submission order with resumable
-checkpoints.  See EXPERIMENTS.md ("Distributed runs").
+The paper-scale Table 1 / Figure 10 sweeps and the fault-injection
+campaigns are embarrassingly parallel; this package fans them out beyond
+one machine.  A *broker* stores durable JSON job payloads with
+at-least-once delivery (``enqueue / lease / ack / nack``), *workers*
+lease jobs, optimize and fault-inject the winning schedules (or replay
+injection shards) and ack validated results, and the one *driver*
+enqueues either kind of sweep with resumable checkpoints and hands
+results back as they land — experiment results in deterministic
+submission order.  See EXPERIMENTS.md ("Distributed runs").
 """
 
 from repro.queue.broker import (
@@ -23,7 +25,6 @@ from repro.queue.broker import (
 from repro.queue.driver import (
     SweepPlan,
     SweepStats,
-    collect_results,
     enqueue_sweep,
     run_sweep,
 )
@@ -53,7 +54,6 @@ __all__ = [
     "SweepPlan",
     "SweepStats",
     "Worker",
-    "collect_results",
     "default_worker_id",
     "enqueue_sweep",
     "run_sweep",

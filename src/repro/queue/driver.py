@@ -1,30 +1,41 @@
-"""Sweep driver: enqueue jobs, attach workers, stream back ordered results.
+"""Sweep driver: enqueue jobs, attach workers, hand back results as they land.
 
-The driver is the producer side of the distributed experiment queue.  It
-turns a deterministic job list (the same list the serial and process-pool
-paths consume) into durable queue entries, optionally attaches local
-workers, and collects results **in submission order** so the table/figure
-aggregation code downstream is byte-for-byte shared with the serial path.
+The one broker loop both sweep families share: experiment jobs (Table 1
+/ Figure 10 optimizations, :func:`run_sweep`) and fault-injection shards
+(:func:`repro.inject.driver.run_inject_sweep`).  Each family is a thin
+adapter that encodes its jobs to ``(fingerprint, payload)`` pairs and
+decodes the result texts :func:`drive` hands back; submission, resume,
+local workers, polling, dead letters, liveness and timeouts live here.
 
 Resume semantics
 ----------------
-Each job's identity is its submission slot plus canonical JSON payload
-(:func:`repro.io.queue_codec.job_fingerprint`).  Re-invoking the same
+A job's durable identity is the fingerprint its adapter chose: slot plus
+canonical payload for experiment jobs
+(:func:`repro.io.queue_codec.job_fingerprint`), target fingerprint plus
+shard coordinates for shards
+(:func:`repro.inject.partition.shard_fingerprint`).  Re-invoking the same
 sweep against the same broker with ``resume=True``:
 
 * jobs already ``done`` are *checkpoint hits* — their stored results are
-  decoded instead of re-executed;
+  handed back instead of re-executed;
 * ``queued``/``leased`` jobs are left alone (in-flight work is kept;
   leases of crashed workers lapse on their own);
 * ``dead`` jobs get a fresh attempt budget;
 * unknown fingerprints are enqueued.
 
 Without ``resume``, a broker that already holds jobs is refused — mixing
-two different sweeps in one queue file is almost certainly a mistake.
+two different sweeps in one queue file is almost certainly a mistake —
+and a broker holding jobs that are not part of this sweep is refused
+either way, before anything is enqueued.
 
-Dead letters never hang the driver: once nothing is queued or in flight,
-remaining dead jobs are reported via :class:`~repro.errors.QueueError`
-with each job's description and final error.
+Results land in any order.  Experiment sweeps buffer them by slot and
+report and return them **in submission order**, so the table/figure
+aggregation code downstream is byte-for-byte shared with the serial
+path; injection shards fold as they land (their aggregate is
+order-independent).  Dead letters never hang the driver: once nothing is
+queued or in flight, remaining dead jobs are reported via
+:class:`~repro.errors.QueueError` with each job's description and final
+error.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ import multiprocessing
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro import obs
 from repro.errors import ConfigurationError, QueueError
@@ -44,6 +55,7 @@ from repro.queue.broker import (
     Broker,
     DEFAULT_MAX_ATTEMPTS,
     DONE,
+    DeadLetter,
     publish_queue_counts,
 )
 from repro.queue.memory import MemoryBroker
@@ -63,7 +75,7 @@ class SweepStats:
     enqueued: int = 0
     checkpoint_hits: int = 0  # jobs already done when the sweep was submitted
     reset_dead: int = 0  # dead jobs granted a fresh budget on resume
-    completed: int = 0  # results streamed back this invocation
+    completed: int = 0  # results handed back this invocation
     dead: int = 0
 
     def summary(self) -> str:
@@ -81,33 +93,28 @@ class SweepStats:
 class SweepPlan:
     """The enqueue outcome: per-slot identities plus submission stats."""
 
-    jobs: list[CaseJob]
     fingerprints: list[str]
     stats: SweepStats = field(default_factory=SweepStats)
 
 
-def enqueue_sweep(
-    jobs: Sequence[CaseJob],
+def enqueue(
     broker: Broker,
+    fingerprints: Sequence[str],
+    payloads: Iterable[str],
     resume: bool = False,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> SweepPlan:
-    """Submit ``jobs`` idempotently; see the module docstring for resume."""
-    from repro.io.queue_codec import encode_job, job_fingerprint
+    """Submit one sweep idempotently; see the module docstring for resume.
 
-    job_list = list(jobs)
+    ``payloads`` parallels ``fingerprints`` and is consumed once, in
+    order, so an adapter may pass a generator.
+    """
     if not resume and broker.pending().total > 0:
         raise ConfigurationError(
             "broker already holds jobs; pass resume=True (--resume) to "
             "continue that sweep, or point at a fresh broker path"
         )
-    plan = SweepPlan(jobs=job_list, fingerprints=[])
-    plan.stats.total = len(job_list)
-    payloads = [encode_job(job) for job in job_list]
-    plan.fingerprints = [
-        job_fingerprint(index, payload)
-        for index, payload in enumerate(payloads)
-    ]
+    plan = SweepPlan(list(fingerprints), SweepStats(total=len(fingerprints)))
     known = broker.states()
     orphans = set(known) - set(plan.fingerprints)
     if orphans:
@@ -132,61 +139,153 @@ def enqueue_sweep(
     return plan
 
 
-def collect_results(
-    plan: SweepPlan,
+def drive(
     broker: Broker,
+    fingerprints: Sequence[str],
+    payloads: Iterable[str],
+    on_result: Callable[[int, str], None],
+    describe: Callable[[int], str],
+    resume: bool = False,
+    local_workers: int = 0,
     progress: Callable[[str], None] | None = None,
+    lease_s: float = DEFAULT_LEASE_S,
+    validate_samples: int | None = None,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     poll_interval_s: float = 0.1,
     timeout_s: float | None = None,
-    liveness: Callable[[], bool] | None = None,
-) -> tuple[list[dict[str, VariantRun]], SweepStats]:
-    """Wait for every slot, decoding results in submission order.
+) -> SweepStats:
+    """Enqueue one sweep, attach local workers and collect every result.
 
-    ``liveness`` (when given) is polled each round; returning False means
-    "no worker can make further progress" and raises instead of waiting
-    forever — the driver passes a check over its locally spawned workers.
+    ``on_result(index, text)`` receives each job's stored result text as
+    it lands (checkpoint hits included); ``describe(index)`` labels a job
+    in dead-letter reports.  ``local_workers`` consumer loops run for the
+    duration of the call — OS processes for a :class:`SqliteBroker` (the
+    entry point ``ftds worker`` uses on other machines), daemon threads
+    for a :class:`MemoryBroker`; with 0 the call relies entirely on
+    externally attached workers.
     """
-    from repro.io.queue_codec import decode_result
+    with obs.span("enqueue") as sp:
+        plan = enqueue(broker, fingerprints, payloads, resume, max_attempts)
+        stats = plan.stats
+        sp.set(total=stats.total, enqueued=stats.enqueued,
+               checkpoint_hits=stats.checkpoint_hits)
+    if stats.checkpoint_hits:
+        ProgressReporter(progress, stats.total).announce(
+            f"resume: {stats.checkpoint_hits}/{stats.total} jobs "
+            "already complete (checkpoint hits)"
+        )
+    workers = _spawn_local_workers(
+        broker, local_workers, lease_s, validate_samples
+    )
+    try:
+        with obs.span("collect", jobs=stats.total) as sp:
+            _collect(plan, broker, on_result, describe, workers,
+                     poll_interval_s, timeout_s)
+            sp.set(completed=stats.completed,
+                   checkpoint_hits=stats.checkpoint_hits)
+    except BaseException:
+        # The caller asked to stop (timeout, dead letters, interrupt):
+        # don't block on drain workers finishing the rest of the queue —
+        # they are daemons and die with the process.
+        for worker in workers:
+            worker.join(timeout=1.0)
+        raise
+    for worker in workers:
+        # Every slot is acked, so drain workers exit promptly.
+        worker.join(timeout=lease_s + 30.0)
+    return stats
 
+
+def _collect(
+    plan: SweepPlan,
+    broker: Broker,
+    on_result: Callable[[int, str], None],
+    describe: Callable[[int], str],
+    workers: list,
+    poll_interval_s: float,
+    timeout_s: float | None,
+) -> None:
+    """Poll until every result was handed to ``on_result``, or raise."""
     stats = plan.stats
     total = len(plan.fingerprints)
-    results: list[dict[str, VariantRun]] = []
+    index_of = {fp: index for index, fp in enumerate(plan.fingerprints)}
+    waiting = dict(index_of)  # submission order
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
-    reporter = ProgressReporter(progress, total, metric="queue.results")
-    cursor = 0
-    while cursor < total:
+    while waiting:
         states = broker.states()
-        while cursor < total and states.get(plan.fingerprints[cursor]) == DONE:
-            text = broker.result(plan.fingerprints[cursor])
-            runs, elapsed = decode_result(text)
-            results.append(runs)
-            cursor += 1
+        for fingerprint in [fp for fp in waiting if states.get(fp) == DONE]:
+            on_result(waiting.pop(fingerprint), broker.result(fingerprint))
             stats.completed += 1
-            reporter.step(
-                plan.jobs[cursor - 1].describe(), elapsed_s=elapsed
-            )
-        if cursor >= total:
+        if not waiting:
             break
         counts = publish_queue_counts(broker.pending())
         if counts.unfinished == 0:
             # The final ack may have landed between the states() snapshot
             # and this pending() read; only an actual dead letter is
-            # terminal — otherwise re-poll and stream the fresh results.
-            if broker.dead_letters():
-                _raise_dead_letters(plan, broker, stats)
+            # terminal — otherwise re-poll and collect the fresh results.
+            letters = broker.dead_letters()
+            if letters:
+                _raise_dead_letters(letters, index_of, describe, stats)
             continue
-        if liveness is not None and not liveness():
+        if workers and not any(worker.is_alive() for worker in workers):
             raise QueueError(
-                f"all local workers exited with {total - cursor} jobs "
+                f"all local workers exited with {len(waiting)} jobs "
                 "unfinished and no remote workers attached"
             )
         if deadline is not None and time.monotonic() > deadline:
             raise QueueError(
-                f"sweep timed out with {total - cursor} of {total} jobs "
+                f"sweep timed out with {len(waiting)} of {total} jobs "
                 "unfinished"
             )
         time.sleep(poll_interval_s)
-    return results, stats
+
+
+def _raise_dead_letters(
+    letters: list[DeadLetter],
+    index_of: dict[str, int],
+    describe: Callable[[int], str],
+    stats: SweepStats,
+) -> None:
+    """Report dead-lettered jobs by description instead of hanging."""
+    stats.dead = len(letters)
+    obs.get_registry().set("queue.depth.dead", len(letters))
+    details = []
+    for letter in letters[:10]:
+        index = index_of.get(letter.fingerprint)
+        label = letter.fingerprint[:12] if index is None else describe(index)
+        details.append(
+            f"{label} (attempts {letter.attempts}): {letter.error}"
+        )
+    raise QueueError(
+        f"sweep dead-lettered {len(letters)} job(s) after bounded retries: "
+        + "; ".join(details)
+    )
+
+
+# -- experiment sweeps ------------------------------------------------------
+
+
+def _encode_jobs(jobs: Sequence[CaseJob]) -> tuple[list[str], list[str]]:
+    """(fingerprints, payloads) of an experiment job list."""
+    from repro.io.queue_codec import encode_job, job_fingerprint
+
+    payloads = [encode_job(job) for job in jobs]
+    fingerprints = [
+        job_fingerprint(index, payload)
+        for index, payload in enumerate(payloads)
+    ]
+    return fingerprints, payloads
+
+
+def enqueue_sweep(
+    jobs: Sequence[CaseJob],
+    broker: Broker,
+    resume: bool = False,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+) -> SweepPlan:
+    """Submit ``jobs`` idempotently; see the module docstring for resume."""
+    fingerprints, payloads = _encode_jobs(list(jobs))
+    return enqueue(broker, fingerprints, payloads, resume, max_attempts)
 
 
 def run_sweep(
@@ -201,56 +300,32 @@ def run_sweep(
     poll_interval_s: float = 0.1,
     timeout_s: float | None = None,
 ) -> tuple[list[dict[str, VariantRun]], SweepStats]:
-    """Drive one full sweep through ``broker`` and return ordered results.
+    """Drive one experiment sweep through ``broker`` (see :func:`drive`);
+    results and progress lines come back in submission order."""
+    from repro.io.queue_codec import decode_result
 
-    ``local_workers`` consumer loops are attached for the duration of the
-    call — OS processes for a :class:`SqliteBroker` (the same entry point
-    ``ftds worker`` uses on other machines), daemon threads for a
-    :class:`MemoryBroker`.  With ``local_workers=0`` the call only
-    enqueues and waits, relying entirely on externally attached workers.
-    """
-    with obs.span("enqueue") as sp:
-        plan = enqueue_sweep(
-            jobs, broker, resume=resume, max_attempts=max_attempts
-        )
-        sp.set(
-            total=plan.stats.total,
-            enqueued=plan.stats.enqueued,
-            checkpoint_hits=plan.stats.checkpoint_hits,
-        )
-    if plan.stats.checkpoint_hits:
-        ProgressReporter(progress, plan.stats.total).announce(
-            f"resume: {plan.stats.checkpoint_hits}/{plan.stats.total} jobs "
-            "already complete (checkpoint hits)"
-        )
-    workers = _spawn_local_workers(
-        broker, local_workers, lease_s, validate_samples
+    job_list = list(jobs)
+    fingerprints, payloads = _encode_jobs(job_list)
+    slots: list = [None] * len(job_list)  # (runs, elapsed) per slot
+    reporter = ProgressReporter(progress, len(job_list), metric="queue.results")
+
+    def land(index: int, text: str) -> None:
+        slots[index] = decode_result(text)
+        # Report from the cursor (the first slot not yet reported) up to
+        # the next slot still missing.
+        while reporter.done < len(slots) and slots[reporter.done] is not None:
+            _, elapsed = slots[reporter.done]
+            reporter.step(job_list[reporter.done].describe(), elapsed_s=elapsed)
+
+    stats = drive(
+        broker, fingerprints, payloads, land,
+        lambda index: job_list[index].describe(),
+        resume=resume, local_workers=local_workers, progress=progress,
+        lease_s=lease_s, validate_samples=validate_samples,
+        max_attempts=max_attempts, poll_interval_s=poll_interval_s,
+        timeout_s=timeout_s,
     )
-    try:
-        liveness = None
-        if workers:
-            liveness = lambda: any(w.is_alive() for w in workers)
-        with obs.span("collect", jobs=plan.stats.total) as sp:
-            results, stats = collect_results(
-                plan,
-                broker,
-                progress=progress,
-                poll_interval_s=poll_interval_s,
-                timeout_s=timeout_s,
-                liveness=liveness,
-            )
-            sp.set(completed=stats.completed, checkpoint_hits=stats.checkpoint_hits)
-    except BaseException:
-        # The caller asked to stop (timeout, dead letters, interrupt):
-        # don't block on drain workers finishing the rest of the queue —
-        # they are daemons and die with the process.
-        for worker in workers:
-            worker.join(timeout=1.0)
-        raise
-    for worker in workers:
-        # Every slot is acked, so drain workers exit promptly.
-        worker.join(timeout=lease_s + 30.0)
-    return results, stats
+    return [runs for runs, _ in slots], stats
 
 
 # -- local worker attachment --------------------------------------------------
@@ -327,28 +402,4 @@ def _spawn_local_workers(
     raise ConfigurationError(
         f"cannot attach local workers to {type(broker).__name__}; "
         "run workers against it externally and call with local_workers=0"
-    )
-
-
-def _raise_dead_letters(
-    plan: SweepPlan, broker: Broker, stats: SweepStats
-) -> None:
-    """Report dead-lettered jobs by description instead of hanging."""
-    from repro.io.queue_codec import decode_job
-
-    letters = broker.dead_letters()
-    stats.dead = len(letters)
-    obs.get_registry().set("queue.depth.dead", len(letters))
-    details = []
-    for letter in letters[:10]:
-        try:
-            label = decode_job(letter.payload).describe()
-        except QueueError:
-            label = letter.fingerprint[:12]
-        details.append(
-            f"{label} (attempts {letter.attempts}): {letter.error}"
-        )
-    raise QueueError(
-        f"sweep dead-lettered {len(letters)} job(s) after bounded retries: "
-        + "; ".join(details)
     )

@@ -155,15 +155,6 @@ class WorstCaseAnalyzer:
         self.faults = faults
         self._tails: dict[str, tuple[float, ...]] = {}
 
-    def node_tail(self, node: str) -> tuple[float, ...] | None:
-        """Current chain tail of ``node`` (``None`` if nothing placed yet)."""
-        return self._tails.get(node)
-
-    def root_available(self, node: str) -> float:
-        """Fault-free time at which ``node`` becomes free."""
-        tail = self._tails.get(node)
-        return tail[0] if tail is not None else 0.0
-
     def place(self, instance: Instance, rel_row: list[float]) -> PlacementResult:
         """Append ``instance`` to its node's chain and return its rows.
 

@@ -22,7 +22,7 @@ see :class:`repro.schedule.table.SystemSchedule`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Mapping
 
@@ -166,33 +166,19 @@ class ScheduleRecord:
     def to_json_dict(self) -> dict:
         """A JSON-safe dict whose round-trip is byte-stable.
 
-        Tuples flatten to lists and ``None`` deadlines to ``null``; every
-        leaf is a str/int/float that the :mod:`json` module reproduces
-        exactly (float repr round-trips), so canonical re-encoding of
-        :meth:`from_json_dict`'s output is byte-identical.  This is the
-        wire format of the distributed experiment queue — records cross
-        machine boundaries without pickle.
+        Derived from the dataclass fields, so no field can be dropped on
+        the wire: tuples flatten to lists (recursively) and ``None``
+        deadlines to ``null``; every leaf is a str/int/float that the
+        :mod:`json` module reproduces exactly (float repr round-trips),
+        so canonical re-encoding of :meth:`from_json_dict`'s output is
+        byte-identical.  This is the wire format of the distributed
+        experiment queue — records cross machine boundaries without
+        pickle.
         """
-        return {
-            "version": RECORD_FORMAT_VERSION,
-            "processes": list(self.processes),
-            "nodes": list(self.nodes),
-            "instance_ids": list(self.instance_ids),
-            "instance_process": list(self.instance_process),
-            "instance_node": list(self.instance_node),
-            "root_start": list(self.root_start),
-            "root_finish": list(self.root_finish),
-            "wcf": list(self.wcf),
-            "finish_rows": [list(row) for row in self.finish_rows],
-            "bindings": [list(binding) for binding in self.bindings],
-            "node_chains": [list(chain) for chain in self.node_chains],
-            "process_replicas": [list(r) for r in self.process_replicas],
-            "completions": list(self.completions),
-            "deadlines": list(self.deadlines),
-            "medl": [list(descriptor) for descriptor in self.medl],
-            "k": self.k,
-            "mu": self.mu,
-        }
+        data: dict = {"version": RECORD_FORMAT_VERSION}
+        for field in fields(self):
+            data[field.name] = _to_json(getattr(self, field.name))
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScheduleRecord":
@@ -203,31 +189,23 @@ class ScheduleRecord:
                 f"unsupported record format version {version} "
                 f"(expected {RECORD_FORMAT_VERSION})"
             )
-        return cls(
-            processes=tuple(data["processes"]),
-            nodes=tuple(data["nodes"]),
-            instance_ids=tuple(data["instance_ids"]),
-            instance_process=tuple(data["instance_process"]),
-            instance_node=tuple(data["instance_node"]),
-            root_start=tuple(data["root_start"]),
-            root_finish=tuple(data["root_finish"]),
-            wcf=tuple(data["wcf"]),
-            finish_rows=tuple(tuple(row) for row in data["finish_rows"]),
-            bindings=tuple(
-                (binding[0], binding[1], binding[2])
-                for binding in data["bindings"]
-            ),
-            node_chains=tuple(tuple(chain) for chain in data["node_chains"]),
-            process_replicas=tuple(tuple(r) for r in data["process_replicas"]),
-            completions=tuple(data["completions"]),
-            deadlines=tuple(data["deadlines"]),
-            medl=tuple(
-                (d[0], d[1], d[2], d[3], d[4], d[5], d[6])
-                for d in data["medl"]
-            ),
-            k=data["k"],
-            mu=data["mu"],
-        )
+        return cls(**{
+            field.name: _from_json(data[field.name]) for field in fields(cls)
+        })
+
+
+def _to_json(value):
+    """Tuples to lists, recursively (the record's JSON form)."""
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    return value
+
+
+def _from_json(value):
+    """Lists to tuples, recursively (inverse of :func:`_to_json`)."""
+    if isinstance(value, list):
+        return tuple(_from_json(item) for item in value)
+    return value
 
 
 #: Version tag of the record wire format (bump on layout changes).

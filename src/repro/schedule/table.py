@@ -204,9 +204,6 @@ class SystemSchedule:
         """The static schedule table of ``node`` in execution order."""
         return [self.placements[iid] for iid in self.node_chains.get(node, [])]
 
-    def instance_wcf(self, iid: str) -> float:
-        return self.placements[iid].wcf
-
     def completion(self, process: str) -> float:
         try:
             return self.completions[process]

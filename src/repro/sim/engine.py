@@ -14,7 +14,6 @@ and local predecessors strictly precede it in the order).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 from repro.errors import SimulationError
 from repro.model.application import ProcessGraph
@@ -199,18 +198,6 @@ class SystemSimulator:
 
         self._derive_completions(result)
         return result
-
-    def run_many(
-        self, scenarios: Iterable[FaultScenario]
-    ) -> Iterator[SimulationResult]:
-        """Replay a stream of scenarios against the precomputed plans.
-
-        Lazy on purpose: fault-injection shards feed millions of scenarios
-        through here and fold each result immediately, never holding more
-        than one :class:`SimulationResult` alive.
-        """
-        for scenario in scenarios:
-            yield self.run(scenario)
 
     def _derive_completions(self, result: SimulationResult) -> None:
         """Process output time: first surviving replica's finish."""

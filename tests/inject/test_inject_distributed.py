@@ -97,6 +97,28 @@ def test_killed_worker_then_resume_matches_uninterrupted(
     assert resumed_summary == inline_summary
 
 
+def test_dead_lettered_shard_is_reported_instead_of_hanging(small_target):
+    """A shard past the importance list fails on every delivery; the
+    shared driver raises with the shard's coordinates, not a hang."""
+    from repro.errors import QueueError
+    from repro.inject.partition import TIER_IMPORTANCE, ShardSpec
+    from repro.queue.memory import MemoryBroker
+
+    plan = exhaustive_plan(small_target)
+    plan.shards.append(
+        ShardSpec(TIER_IMPORTANCE, 0, None, 10_000, 10_001, 1, 0)
+    )
+    with pytest.raises(QueueError) as excinfo:
+        run_inject_sweep(
+            small_target, plan, broker=MemoryBroker(), local_workers=1,
+            max_attempts=1, timeout_s=120.0,
+        )
+    message = str(excinfo.value)
+    assert "dead-lettered" in message
+    assert "importance[10000:10001]" in message
+    assert "SimulationError" in message
+
+
 def test_enqueue_refuses_foreign_broker_without_resume(tmp_path, small_target):
     from repro.errors import ConfigurationError
 

@@ -230,28 +230,28 @@ def test_shard_phase_timings_cover_the_work(small_target):
     assert phases["simulate"] > 0.0  # the batch replay actually ran
 
 
-def test_derived_caches_are_lru(small_target, monkeypatch):
-    """A hit must move the fingerprint to the back of the eviction order.
+def test_shards_of_one_target_share_one_space(small_target, monkeypatch):
+    """The replay context owns the derived scenario space: two shards of
+    one target build it once and replay against the same object."""
+    import repro.inject.target as target_module
 
-    Regression: FIFO eviction dropped the *active* target's space cache
-    when more than the limit of fingerprints interleaved on one worker —
-    the hot entry had the oldest insertion precisely because it kept
-    getting hit instead of re-inserted."""
-    import repro.inject.runner as runner
+    plan = make_plan(small_target)
+    assert len(plan.shards) >= 2
+    monkeypatch.setattr(target_module, "_CONTEXT_CACHE", {})
+    built: list[ScenarioSpace] = []
+    build = ScenarioSpace.of
 
-    monkeypatch.setattr(runner, "_SPACE_CACHE", {})
-    context = small_target.build_context()
-    space = runner._space_of(context, small_target, "hot")
-    # Fill the cache to its limit around the hot entry...
-    for cold in range(runner._DERIVED_CACHE_LIMIT - 1):
-        runner._space_of(context, small_target, f"cold-a-{cold}")
-    # ...touch the hot entry (hit), then force one eviction with a new
-    # fingerprint: LRU must drop the stalest cold entry, not "hot".
-    assert runner._space_of(context, small_target, "hot") is space
-    runner._space_of(context, small_target, "cold-b")
-    assert "hot" in runner._SPACE_CACHE
-    assert runner._space_of(context, small_target, "hot") is space
-    assert "cold-a-0" not in runner._SPACE_CACHE  # the true LRU victim
+    def spy(ft, k):
+        built.append(build(ft, k))
+        return built[-1]
+
+    monkeypatch.setattr(ScenarioSpace, "of", spy)
+    fingerprint = small_target.fingerprint()
+    for spec in plan.shards[:2]:
+        run_shard(small_target, spec, fingerprint)
+    assert len(built) == 1
+    context = target_module.cached_context(small_target, fingerprint)
+    assert context.space is built[0]
 
 
 def test_context_cache_is_lru(small_target, monkeypatch):

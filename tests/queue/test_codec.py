@@ -1,6 +1,7 @@
 """JSON wire-format tests: byte-identical round-trips, validated decodes."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -59,6 +60,35 @@ PINNED_JOB_TEXT = (
     '"tabu_max_iterations":4,"tabu_tenure":null,"time_limit_s":1.5},'
     '"k":2,"label":"pinned","mu":1.0,"n_nodes":2,"n_processes":8,"seed":0,'
     '"time_scale":2.0,"variants":["MXR"],"version":1}'
+)
+
+#: A small record with every field populated (a ``None`` deadline, nested
+#: rows, bindings, chains and a MEDL descriptor).
+FIXED_RECORD = ScheduleRecord(
+    processes=("P1", "P2"),
+    nodes=("N1", "N2"),
+    instance_ids=("P1:r0", "P2:r0", "P2:r1"),
+    instance_process=(0, 1, 1),
+    instance_node=(0, 0, 1),
+    root_start=(0.0, 30.0, 42.5),
+    root_finish=(30.0, 50.0, 62.5),
+    wcf=(40.0, 70.0, 62.5),
+    finish_rows=((30.0, 40.0), (50.0, 70.0), (62.5, 62.5)),
+    bindings=((0, -1, 0), (1, 0, 1), (2, 0, 0)),
+    node_chains=((0, 1), (2,)),
+    process_replicas=((0,), (1, 2)),
+    completions=(40.0, 62.5),
+    deadlines=(None, 100.0),
+    medl=(("m1[P1:r0]", 0, 0, 32.5, 37.5, 0, 4),),
+    k=1,
+    mu=10.0,
+)
+
+#: sha256 of FIXED_RECORD's canonical JSON.  Result texts and the
+#: injection target fingerprint (the ``ftds inject --resume`` key) hash
+#: this encoding, so a renamed or reshaped key shows up here.
+PINNED_RECORD_SHA256 = (
+    "740aed4a9ba6f49ee4e929e4de4da4a276274e310322c4b089dbae66787e7956"
 )
 
 
@@ -156,6 +186,11 @@ class TestRecordRoundTrip:
         assert decoded == record
         assert hash(decoded) == hash(record)
         assert canonical_json(decoded.to_json_dict()) == text
+
+    def test_record_encoding_is_pinned(self):
+        text = canonical_json(FIXED_RECORD.to_json_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_RECORD_SHA256
+        assert ScheduleRecord.from_json_dict(json.loads(text)) == FIXED_RECORD
 
     def test_decoded_record_passes_fault_injection(self, optimized):
         record = ScheduleRecord.from_json_dict(
