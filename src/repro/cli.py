@@ -34,7 +34,7 @@ from repro.experiments.reporting import (
     format_figure10,
     format_table1,
 )
-from repro.experiments.runner import budget_for, run_variants
+from repro.experiments.runner import budget_for
 from repro.experiments.table1 import table1a, table1b, table1c
 from repro.gen.suite import generate_case
 
@@ -619,7 +619,7 @@ def _run_inject(args: argparse.Namespace, parser, progress) -> int:
     with obs.span("plan") as sp:
         # The cached context is the one the inline shards replay against,
         # so its space and importance list are derived once per run.
-        context = cached_context(target, target.fingerprint())
+        context = cached_context(target.fingerprint(), target.build_context)
         plan = plan_sweep(
             context.space,
             len(context.importance),

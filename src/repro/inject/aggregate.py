@@ -33,8 +33,9 @@ from repro.inject.partition import (
     TIER_IMPORTANCE,
     TIER_STRATIFIED,
 )
-from repro.inject.plan import MODE_EXHAUSTIVE, MODE_NONE, MODE_SAMPLED, SamplingPlan
+from repro.inject.plan import MODE_EXHAUSTIVE, MODE_SAMPLED, SamplingPlan
 from repro.inject.stats import clopper_pearson_upper
+from repro.io.codec import encode
 
 #: Violation classes (mirrors repro.sim.validate.Violation kinds).
 VIOLATION_CLASSES = (
@@ -55,22 +56,19 @@ class Exemplar:
     subject: str
     detail: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "order": list(self.order),
-            "failures": dict(sorted(self.failures.items())),
-            "subject": self.subject,
-            "detail": self.detail,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Exemplar":
-        return cls(
-            order=tuple(data["order"]),
-            failures=dict(data["failures"]),
-            subject=data["subject"],
-            detail=data["detail"],
-        )
+@dataclass(frozen=True)
+class PhaseSeconds:
+    """Worker seconds one shard spent per phase.
+
+    Their sum is at most the shard's ``elapsed_s``; the remainder is
+    context/cache lookup overhead.
+    """
+
+    materialize: float = 0.0
+    simulate: float = 0.0
+    classify: float = 0.0
+    fold: float = 0.0
 
 
 @dataclass
@@ -86,60 +84,11 @@ class ShardResult:
     class_counts: dict[str, int] = field(default_factory=dict)
     exemplars: dict[str, Exemplar] = field(default_factory=dict)
     elapsed_s: float = 0.0
-    # Per-phase worker seconds (sum <= elapsed_s; the remainder is
-    # context/cache lookup overhead).  Zero-filled by pre-batching
-    # payloads, so resumed sweeps fold old checkpoints unchanged.
-    materialize_s: float = 0.0
-    simulate_s: float = 0.0
-    classify_s: float = 0.0
-    fold_s: float = 0.0
-
-    def phase_dict(self) -> dict[str, float]:
-        return {
-            "materialize": self.materialize_s,
-            "simulate": self.simulate_s,
-            "classify": self.classify_s,
-            "fold": self.fold_s,
-        }
+    phase_s: PhaseSeconds = field(default_factory=PhaseSeconds)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "fingerprint": self.fingerprint,
-            "spec": self.spec.to_dict(),
-            "scenarios": self.scenarios,
-            "draws": self.draws,
-            "violation_draws": self.violation_draws,
-            "violation_scenarios": self.violation_scenarios,
-            "class_counts": dict(sorted(self.class_counts.items())),
-            "exemplars": {
-                name: exemplar.to_dict()
-                for name, exemplar in sorted(self.exemplars.items())
-            },
-            "elapsed_s": self.elapsed_s,
-            "phase_s": self.phase_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ShardResult":
-        phases = data.get("phase_s", {})
-        return cls(
-            fingerprint=data["fingerprint"],
-            spec=ShardSpec.from_dict(data["spec"]),
-            scenarios=data["scenarios"],
-            draws=data["draws"],
-            violation_draws=data["violation_draws"],
-            violation_scenarios=data["violation_scenarios"],
-            class_counts=dict(data["class_counts"]),
-            exemplars={
-                name: Exemplar.from_dict(value)
-                for name, value in data["exemplars"].items()
-            },
-            elapsed_s=data["elapsed_s"],
-            materialize_s=phases.get("materialize", 0.0),
-            simulate_s=phases.get("simulate", 0.0),
-            classify_s=phases.get("classify", 0.0),
-            fold_s=phases.get("fold", 0.0),
-        )
+        """The wire form (:func:`repro.io.codec.encode`)."""
+        return encode(self)
 
 
 @dataclass
@@ -227,10 +176,10 @@ class InjectAggregate:
         self.violation_draws += result.violation_draws
         self.violation_scenarios += result.violation_scenarios
         self.elapsed_s += result.elapsed_s
-        self.materialize_s += result.materialize_s
-        self.simulate_s += result.simulate_s
-        self.classify_s += result.classify_s
-        self.fold_s += result.fold_s
+        self.materialize_s += result.phase_s.materialize
+        self.simulate_s += result.phase_s.simulate
+        self.classify_s += result.phase_s.classify
+        self.fold_s += result.phase_s.fold
 
         if spec.tier == TIER_IMPORTANCE:
             self.importance_scenarios += result.scenarios
@@ -336,7 +285,7 @@ class InjectAggregate:
             "scenarios_per_sec": self.scenarios_per_sec(),
             "class_counts": dict(sorted(self.class_counts.items())),
             "exemplars": {
-                name: exemplar.to_dict()
+                name: encode(exemplar)
                 for name, exemplar in sorted(self.exemplars.items())
             },
         }

@@ -34,12 +34,15 @@ def _shard_jobs(
     target: InjectTarget, plan: SamplingPlan
 ) -> tuple[list[str], Iterator[str]]:
     """(fingerprints, lazily encoded payloads) of every shard of ``plan``."""
+    from repro.io.codec import encode
     from repro.io.inject_codec import encode_shard_job
 
     target_fp = target.fingerprint()
-    target_dict = target.to_dict()
+    target_dict = encode(target)
     fingerprints = [shard_fingerprint(target_fp, spec) for spec in plan.shards]
-    payloads = (encode_shard_job(target_dict, spec) for spec in plan.shards)
+    payloads = (
+        encode_shard_job(target_dict, target_fp, spec) for spec in plan.shards
+    )
     return fingerprints, payloads
 
 
@@ -58,11 +61,12 @@ def enqueue_shards(
 
 def _phase_note(result) -> str:
     """Compact per-shard phase timing for progress lines."""
+    phases = result.phase_s
     return (
-        f"mat {result.materialize_s:.2f}s/"
-        f"sim {result.simulate_s:.2f}s/"
-        f"cls {result.classify_s:.2f}s/"
-        f"fold {result.fold_s:.2f}s"
+        f"mat {phases.materialize:.2f}s/"
+        f"sim {phases.simulate:.2f}s/"
+        f"cls {phases.classify:.2f}s/"
+        f"fold {phases.fold:.2f}s"
     )
 
 

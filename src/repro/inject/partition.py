@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any
 
 from repro.errors import SimulationError
 
@@ -61,29 +60,6 @@ class ShardSpec:
     def scenario_budget(self) -> int:
         """Scenarios this shard is responsible for (draws included)."""
         return self.draws if self.tier == TIER_STRATIFIED else self.hi - self.lo
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "tier": self.tier,
-            "wave": self.wave,
-            "stratum": self.stratum,
-            "lo": self.lo,
-            "hi": self.hi,
-            "draws": self.draws,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ShardSpec":
-        return cls(
-            tier=data["tier"],
-            wave=data["wave"],
-            stratum=data["stratum"],
-            lo=data["lo"],
-            hi=data["hi"],
-            draws=data["draws"],
-            seed=data["seed"],
-        )
 
     def describe(self) -> str:
         if self.tier == TIER_IMPORTANCE:

@@ -44,7 +44,7 @@ from collections import Counter
 from repro import obs
 from repro.errors import SimulationError
 from repro.obs.metrics import MetricsRegistry
-from repro.inject.aggregate import Exemplar, ShardResult
+from repro.inject.aggregate import Exemplar, PhaseSeconds, ShardResult
 from repro.inject.partition import (
     ShardSpec,
     TIER_EXHAUSTIVE,
@@ -83,6 +83,23 @@ def run_shard(
 ) -> ShardResult:
     """Execute one shard against its target and summarize the outcome.
 
+    The target's replay context comes from the worker-side cache
+    (:func:`~repro.inject.target.cached_context`); see
+    :func:`replay_shard` for ``batch_size``.
+    """
+    fingerprint = target_fp or target.fingerprint()
+    context = cached_context(fingerprint, target.build_context)
+    return replay_shard(context, spec, fingerprint, batch_size)
+
+
+def replay_shard(
+    context: InjectContext,
+    spec: ShardSpec,
+    target_fp: str,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+) -> ShardResult:
+    """Execute one shard against its target's replay context.
+
     ``batch_size`` columns flow through the batched replay kernel per
     block; ``0`` (or ``None``) replays scenario-by-scenario through the
     scalar simulator instead.  Both paths produce byte-identical
@@ -92,11 +109,9 @@ def run_shard(
     """
     if batch_size is not None and batch_size < 0:
         raise SimulationError(f"batch size must be >= 0, got {batch_size}")
-    fingerprint = target_fp or target.fingerprint()
-    context = cached_context(target, fingerprint)
     started = time.perf_counter()
     result = ShardResult(
-        fingerprint=shard_fingerprint(fingerprint, spec),
+        fingerprint=shard_fingerprint(target_fp, spec),
         spec=spec,
         scenarios=0,
         draws=0,
@@ -105,10 +120,9 @@ def run_shard(
     )
     stratum_key = spec.stratum if spec.stratum is not None else -1
     # Phase seconds accumulate in a shard-local registry (one timer block
-    # per phase instead of the hand-rolled perf_counter bookkeeping this
-    # replaces), are copied into the ShardResult's wire fields — the JSON
-    # form is unchanged — and folded into the process registry under
-    # ``inject.phase.*`` / ``inject.tier.*`` for traces and exports.
+    # per phase), are copied into the ShardResult's wire field and folded
+    # into the process registry under ``inject.phase.*`` /
+    # ``inject.tier.*`` for traces and exports.
     phases = MetricsRegistry()
     with obs.span(
         "shard", tier=spec.tier, stratum=stratum_key, lo=spec.lo, hi=spec.hi
@@ -120,10 +134,12 @@ def run_shard(
         else:
             _run_shard_scalar(context, spec, result, stratum_key, phases)
         sp.set(scenarios=result.scenarios, draws=result.draws)
-    result.materialize_s = phases.value("materialize_s")
-    result.simulate_s = phases.value("simulate_s")
-    result.classify_s = phases.value("classify_s")
-    result.fold_s = phases.value("fold_s")
+    result.phase_s = PhaseSeconds(
+        materialize=phases.value("materialize_s"),
+        simulate=phases.value("simulate_s"),
+        classify=phases.value("classify_s"),
+        fold=phases.value("fold_s"),
+    )
     result.elapsed_s = time.perf_counter() - started
     registry = obs.get_registry()
     registry.merge(phases, prefix="inject.phase.")
@@ -157,7 +173,9 @@ def _fold_violations(
         if current is None or order < current.order:
             result.exemplars[violation.kind] = Exemplar(
                 order=order,
-                failures=dict(scenario.failures),
+                # Sorted like a decoded exemplar's, so inline and queued
+                # reports list the failures alike.
+                failures=dict(sorted(scenario.failures.items())),
                 subject=violation.subject,
                 detail=violation.detail,
             )

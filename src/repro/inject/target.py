@@ -4,8 +4,8 @@ A shard job must be executable by any worker on any machine, so the
 target carries everything needed to rebuild the replay context — the
 application, the fault model, the implementation (policies + mapping +
 bus) and the synthesized :class:`~repro.schedule.record.ScheduleRecord` —
-as canonical JSON, reusing the existing problem/solution codecs of
-:mod:`repro.io.json_codec`.  The FT graph is *derived*, never shipped:
+as canonical JSON in its :mod:`repro.io.codec` form.  The FT graph is
+*derived*, never shipped:
 ``build_ft_graph(merge_application(app), policies, mapping, faults)`` is
 deterministic, so every worker reconstructs the identical graph (which is
 what makes shard coordinates portable, see :mod:`repro.inject.space`).
@@ -18,22 +18,14 @@ that holds a *different* target's shards is detected, not silently mixed.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
+from typing import Callable
 
 from repro.errors import SimulationError
 from repro.inject.importance import importance_scenarios
 from repro.inject.space import ScenarioSpace
-from repro.io.json_codec import (
-    application_from_dict,
-    application_to_dict,
-    fault_model_from_dict,
-    fault_model_to_dict,
-    implementation_from_dict,
-    implementation_to_dict,
-)
+from repro.io.codec import canonical_json, encode
 from repro.model.application import Application, ProcessGraph
 from repro.model.fault import FaultModel
 from repro.model.ftgraph import FTGraph, build_ft_graph
@@ -87,31 +79,9 @@ class InjectTarget:
     record: ScheduleRecord
     label: str = "target"
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "application": application_to_dict(self.application),
-            "faults": fault_model_to_dict(self.faults),
-            "implementation": implementation_to_dict(self.implementation),
-            "record": self.record.to_json_dict(),
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "InjectTarget":
-        return cls(
-            application=application_from_dict(data["application"]),
-            faults=fault_model_from_dict(data["faults"]),
-            implementation=implementation_from_dict(data["implementation"]),
-            record=ScheduleRecord.from_json_dict(data["record"]),
-            label=data.get("label", "target"),
-        )
-
     def fingerprint(self) -> str:
         """sha256 of the canonical JSON form (names the whole sweep)."""
-        text = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(text.encode()).hexdigest()
+        return hashlib.sha256(canonical_json(encode(self)).encode()).hexdigest()
 
     def build_context(self) -> InjectContext:
         """Rebuild the deterministic replay context (merged graph, FT
@@ -144,8 +114,11 @@ _CONTEXT_CACHE: dict[str, InjectContext] = {}
 _CONTEXT_CACHE_LIMIT = 4
 
 
-def cached_context(target: InjectTarget, fingerprint: str) -> InjectContext:
-    """The target's replay context, via the bounded worker-side LRU cache.
+def cached_context(
+    fingerprint: str, build: Callable[[], InjectContext]
+) -> InjectContext:
+    """The replay context of the target named by ``fingerprint``, via the
+    bounded worker-side LRU cache; ``build()`` runs only on a miss.
 
     Hits move the entry to the back of the insertion order, so eviction
     drops the *least recently used* fingerprint — a worker interleaving
@@ -154,7 +127,7 @@ def cached_context(target: InjectTarget, fingerprint: str) -> InjectContext:
     """
     context = _CONTEXT_CACHE.pop(fingerprint, None)
     if context is None:
-        context = target.build_context()
+        context = build()
         if len(_CONTEXT_CACHE) >= _CONTEXT_CACHE_LIMIT:
             _CONTEXT_CACHE.pop(next(iter(_CONTEXT_CACHE)))
     _CONTEXT_CACHE[fingerprint] = context

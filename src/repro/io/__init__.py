@@ -1,34 +1,22 @@
 """Serialization of models, implementations, schedules and queue payloads.
 
-:mod:`repro.io.json_codec` persists problems/solutions; the queue wire
-format (jobs, results, fingerprints) lives in :mod:`repro.io.queue_codec`
-and is imported lazily by the queue subsystem — it is not re-exported here
-to keep ``import repro.io`` free of the experiments layer.
+:mod:`repro.io.codec` is the one wire codec: :func:`encode` and
+:func:`decode` derive the JSON form of every wire dataclass from its
+fields.  :mod:`repro.io.json_codec` persists problems and solutions as
+case files; the queue and injection envelopes (jobs, results, shards,
+fingerprints) live in :mod:`repro.io.queue_codec` and
+:mod:`repro.io.inject_codec`, which the queue subsystem imports lazily —
+they are not re-exported here to keep ``import repro.io`` free of the
+experiments layer.
 """
 
-from repro.io.json_codec import (
-    application_from_dict,
-    application_to_dict,
-    architecture_from_dict,
-    architecture_to_dict,
-    fault_model_from_dict,
-    fault_model_to_dict,
-    implementation_from_dict,
-    implementation_to_dict,
-    load_case,
-    save_case,
-    schedule_to_dict,
-)
+from repro.io.codec import canonical_json, decode, encode
+from repro.io.json_codec import load_case, save_case, schedule_to_dict
 
 __all__ = [
-    "application_from_dict",
-    "application_to_dict",
-    "architecture_from_dict",
-    "architecture_to_dict",
-    "fault_model_from_dict",
-    "fault_model_to_dict",
-    "implementation_from_dict",
-    "implementation_to_dict",
+    "canonical_json",
+    "decode",
+    "encode",
     "load_case",
     "save_case",
     "schedule_to_dict",

@@ -8,70 +8,84 @@ fingerprints are unaffected.
 
 A shard job embeds the full :class:`~repro.inject.target.InjectTarget`
 (application, fault model, implementation, schedule record) as canonical
-JSON: any ``ftds worker`` on any machine can lease it cold, rebuild the
-replay context deterministically and re-materialize the shard's scenario
-set from coordinates alone.  The job's durable identity is
-:func:`repro.inject.partition.shard_fingerprint` — a function of the
-target fingerprint and the shard coordinates, **not** of the payload
-text, so it survives codec-layer reformatting.
+JSON next to its fingerprint: any ``ftds worker`` on any machine can
+lease it cold, rebuild the replay context deterministically and
+re-materialize the shard's scenario set from coordinates alone.  A
+worker that already holds the context for that fingerprint never decodes
+the target; one that does not decodes it and checks it against the
+claimed fingerprint before caching the context.  The job's durable
+identity is :func:`repro.inject.partition.shard_fingerprint` — a function
+of the target fingerprint and the shard coordinates, **not** of the
+payload text, so it survives codec-layer reformatting.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import QueueError
-from repro.inject.aggregate import ShardResult
+from repro.inject.aggregate import PhaseSeconds, ShardResult
 from repro.inject.partition import ShardSpec
 from repro.inject.target import InjectTarget
-from repro.io.queue_codec import canonical_json
-
-INJECT_FORMAT_VERSION = 1
+from repro.io.codec import (
+    FORMAT_VERSION,
+    canonical_json,
+    check_version,
+    decode,
+    encode,
+)
+from repro.io.queue_codec import parse_payload
 
 #: Payload marker of shard jobs (see :func:`repro.io.queue_codec.payload_kind`).
 INJECT_JOB_KIND = "inject_shard"
 
 
-def encode_shard_job(target_dict: dict[str, Any], spec: ShardSpec) -> str:
+def encode_shard_job(
+    target_dict: dict[str, Any], target_fp: str, spec: ShardSpec
+) -> str:
     """Canonical shard-job payload.
 
-    Takes the target's *dict* form so a driver enqueueing hundreds of
-    shards serializes the (large, shared) target once, not per shard.
+    Takes the target's encoded *dict* and fingerprint so a driver
+    enqueueing hundreds of shards encodes and hashes the (large, shared)
+    target once, not per shard.
     """
     return canonical_json(
         {
             "kind": INJECT_JOB_KIND,
-            "version": INJECT_FORMAT_VERSION,
+            "version": FORMAT_VERSION,
             "target": target_dict,
-            "spec": spec.to_dict(),
+            "target_fingerprint": target_fp,
+            "spec": encode(spec),
         }
     )
 
 
-def decode_shard_job(text: str) -> tuple[InjectTarget, ShardSpec, str]:
-    """Decode one shard job; returns (target, spec, target fingerprint).
+def decode_shard_job(
+    data: dict[str, Any],
+) -> tuple[ShardSpec, str, Callable[[], InjectTarget]]:
+    """Decode one parsed shard job: ``(spec, target fingerprint, load)``.
 
-    The fingerprint is recomputed from the embedded target's canonical
-    JSON — identical to :meth:`InjectTarget.fingerprint` — so worker-side
-    caches key on the same identity the driver planned with.
+    ``load()`` decodes the embedded target and raises
+    :class:`QueueError` unless it hashes to the claimed fingerprint, so
+    a context is never cached under a key its target does not have.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise QueueError(f"undecodable shard payload: {error}") from None
-    if data.get("kind") != INJECT_JOB_KIND:
-        raise QueueError("payload is not an inject shard job")
-    _check_version(data)
-    target_fp = hashlib.sha256(
-        canonical_json(data["target"]).encode()
-    ).hexdigest()
-    return (
-        InjectTarget.from_dict(data["target"]),
-        ShardSpec.from_dict(data["spec"]),
-        target_fp,
-    )
+    _check_envelope(data, "shard job")
+    for key in ("target", "target_fingerprint", "spec"):
+        if key not in data:
+            raise QueueError(f"shard job payload has no {key!r}")
+    target_fp = data["target_fingerprint"]
+
+    def load() -> InjectTarget:
+        target = decode(InjectTarget, data["target"], QueueError)
+        actual = target.fingerprint()
+        if actual != target_fp:
+            raise QueueError(
+                f"shard target hashes to {actual[:12]}, "
+                f"its payload claims {str(target_fp)[:12]}"
+            )
+        return target
+
+    return decode(ShardSpec, data["spec"], QueueError), target_fp, load
 
 
 def encode_shard_result(result: ShardResult) -> str:
@@ -79,27 +93,24 @@ def encode_shard_result(result: ShardResult) -> str:
     return canonical_json(
         {
             "kind": INJECT_JOB_KIND,
-            "version": INJECT_FORMAT_VERSION,
-            "result": result.to_dict(),
+            "version": FORMAT_VERSION,
+            "result": encode(result),
         }
     )
 
 
 def decode_shard_result(text: str) -> ShardResult:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise QueueError(f"undecodable shard result: {error}") from None
+    data = parse_payload(text)
+    _check_envelope(data, "shard result")
+    result = data["result"]
+    if isinstance(result, dict) and "phase_s" not in result:
+        # Results stored before per-phase timing existed fold with zero
+        # phase times.
+        result = {**result, "phase_s": encode(PhaseSeconds())}
+    return decode(ShardResult, result, QueueError)
+
+
+def _check_envelope(data: dict[str, Any], name: str) -> None:
     if data.get("kind") != INJECT_JOB_KIND:
-        raise QueueError("payload is not an inject shard result")
-    _check_version(data)
-    return ShardResult.from_dict(data["result"])
-
-
-def _check_version(data: dict[str, Any]) -> None:
-    version = data.get("version", INJECT_FORMAT_VERSION)
-    if version != INJECT_FORMAT_VERSION:
-        raise QueueError(
-            f"unsupported inject format version {version} "
-            f"(expected {INJECT_FORMAT_VERSION})"
-        )
+        raise QueueError(f"payload is not an inject {name}")
+    check_version(data, QueueError, name)

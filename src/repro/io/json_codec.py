@@ -1,11 +1,13 @@
-"""JSON round-tripping for applications, architectures and design decisions.
+"""Case files and schedule exports.
 
 A downstream user needs to persist three things: the *problem* (application
 + architecture + fault model), the *solution* (policies + mapping + bus
 configuration) and, for deployment, the synthesized *schedule tables* and
-MEDL.  Problems and solutions round-trip losslessly; schedules are
-export-only (they are deterministically derivable from a solution via
-:func:`repro.schedule.list_schedule`).
+MEDL.  Problems and solutions round-trip losslessly through one case file
+(:func:`save_case` / :func:`load_case`), each part in its
+:mod:`repro.io.codec` form; a malformed file raises :class:`ModelError`.
+Schedules are export-only (they are deterministically derivable from a
+solution via :func:`repro.schedule.list_schedule`).
 """
 
 from __future__ import annotations
@@ -15,183 +17,12 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ModelError
-from repro.model.application import Application, Message, Process, ProcessGraph
-from repro.model.architecture import Architecture, Node
+from repro.io.codec import FORMAT_VERSION, check_version, decode, encode
+from repro.model.application import Application
+from repro.model.architecture import Architecture
 from repro.model.fault import FaultModel
-from repro.model.mapping import ReplicaMapping
-from repro.model.policy import Policy, PolicyAssignment
 from repro.opt.implementation import Implementation
 from repro.schedule.table import SystemSchedule
-from repro.ttp.bus import BusConfig
-
-FORMAT_VERSION = 1
-
-
-# -- application ------------------------------------------------------------
-
-def application_to_dict(application: Application) -> dict[str, Any]:
-    return {
-        "version": FORMAT_VERSION,
-        "name": application.name,
-        "graphs": [_graph_to_dict(graph) for graph in application.graphs],
-    }
-
-
-def _graph_to_dict(graph: ProcessGraph) -> dict[str, Any]:
-    return {
-        "name": graph.name,
-        "period": graph.period,
-        "deadline": graph.deadline,
-        "processes": [
-            {
-                "name": process.name,
-                "wcet": dict(process.wcet),
-                "release": process.release,
-                "deadline": process.deadline,
-                "fixed_node": process.fixed_node,
-                "fixed_policy": process.fixed_policy,
-            }
-            for process in graph.processes.values()
-        ],
-        "messages": [
-            {
-                "name": message.name,
-                "src": message.src,
-                "dst": message.dst,
-                "size": message.size,
-            }
-            for message in graph.messages.values()
-        ],
-    }
-
-
-def application_from_dict(data: dict[str, Any]) -> Application:
-    _check_version(data)
-    application = Application(name=data.get("name", "application"))
-    for graph_data in data["graphs"]:
-        graph = ProcessGraph(
-            graph_data["name"],
-            period=graph_data.get("period"),
-            deadline=graph_data.get("deadline"),
-        )
-        for p in graph_data["processes"]:
-            graph.add_process(
-                Process(
-                    name=p["name"],
-                    wcet=p["wcet"],
-                    release=p.get("release", 0.0),
-                    deadline=p.get("deadline"),
-                    fixed_node=p.get("fixed_node"),
-                    fixed_policy=p.get("fixed_policy"),
-                )
-            )
-        for m in graph_data["messages"]:
-            graph.add_message(
-                Message(name=m["name"], src=m["src"], dst=m["dst"], size=m["size"])
-            )
-        application.add_graph(graph)
-    application.validate()
-    return application
-
-
-# -- architecture / fault model ------------------------------------------------
-
-def architecture_to_dict(architecture: Architecture) -> dict[str, Any]:
-    return {
-        "version": FORMAT_VERSION,
-        "name": architecture.name,
-        "nodes": [
-            {"name": node.name, "description": node.description}
-            for node in architecture.nodes
-        ],
-        "bus": None if architecture.bus is None else _bus_to_dict(architecture.bus),
-    }
-
-
-def architecture_from_dict(data: dict[str, Any]) -> Architecture:
-    _check_version(data)
-    bus = data.get("bus")
-    return Architecture(
-        nodes=[
-            Node(n["name"], n.get("description", "")) for n in data["nodes"]
-        ],
-        bus=None if bus is None else _bus_from_dict(bus),
-        name=data.get("name", "architecture"),
-    )
-
-
-def fault_model_to_dict(faults: FaultModel) -> dict[str, Any]:
-    return {
-        "version": FORMAT_VERSION,
-        "k": faults.k,
-        "mu": faults.mu,
-        "checkpoint_overhead": faults.checkpoint_overhead,
-    }
-
-
-def fault_model_from_dict(data: dict[str, Any]) -> FaultModel:
-    _check_version(data)
-    return FaultModel(
-        k=data["k"],
-        mu=data["mu"],
-        checkpoint_overhead=data.get("checkpoint_overhead", 0.0),
-    )
-
-
-def _bus_to_dict(bus: BusConfig) -> dict[str, Any]:
-    return {
-        "slot_order": list(bus.slot_order),
-        "slot_lengths": dict(bus.slot_lengths),
-        "ms_per_byte": bus.ms_per_byte,
-    }
-
-
-def _bus_from_dict(data: dict[str, Any]) -> BusConfig:
-    return BusConfig(
-        slot_order=tuple(data["slot_order"]),
-        slot_lengths=data["slot_lengths"],
-        ms_per_byte=data["ms_per_byte"],
-    )
-
-
-# -- implementation (solution) ---------------------------------------------
-
-def implementation_to_dict(implementation: Implementation) -> dict[str, Any]:
-    return {
-        "version": FORMAT_VERSION,
-        "policies": {
-            process: {
-                "n_replicas": policy.n_replicas,
-                "reexecutions": list(policy.reexecutions),
-                "checkpoints": policy.checkpoints,
-            }
-            for process, policy in implementation.policies.items()
-        },
-        "mapping": {
-            process: list(nodes) for process, nodes in implementation.mapping.items()
-        },
-        "bus": _bus_to_dict(implementation.bus),
-    }
-
-
-def implementation_from_dict(data: dict[str, Any]) -> Implementation:
-    _check_version(data)
-    policies = PolicyAssignment(
-        {
-            process: Policy(
-                n_replicas=p["n_replicas"],
-                reexecutions=tuple(p["reexecutions"]),
-                checkpoints=p.get("checkpoints", 0),
-            )
-            for process, p in data["policies"].items()
-        }
-    )
-    mapping = ReplicaMapping(
-        {process: tuple(nodes) for process, nodes in data["mapping"].items()}
-    )
-    return Implementation(
-        policies=policies, mapping=mapping, bus=_bus_from_dict(data["bus"])
-    )
 
 
 # -- schedule (export only) ----------------------------------------------------
@@ -201,7 +32,7 @@ def schedule_to_dict(schedule: SystemSchedule) -> dict[str, Any]:
     return {
         "version": FORMAT_VERSION,
         "fault_model": {"k": schedule.faults.k, "mu": schedule.faults.mu},
-        "bus": _bus_to_dict(schedule.bus),
+        "bus": encode(schedule.bus),
         "nodes": {
             node: [
                 {
@@ -247,12 +78,12 @@ def save_case(
     """Persist a problem (and optionally its solution) as one JSON file."""
     payload: dict[str, Any] = {
         "version": FORMAT_VERSION,
-        "application": application_to_dict(application),
-        "architecture": architecture_to_dict(architecture),
-        "fault_model": fault_model_to_dict(faults),
+        "application": encode(application),
+        "architecture": encode(architecture),
+        "fault_model": encode(faults),
     }
     if implementation is not None:
-        payload["implementation"] = implementation_to_dict(implementation)
+        payload["implementation"] = encode(implementation)
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
@@ -261,21 +92,10 @@ def load_case(
 ) -> tuple[Application, Architecture, FaultModel, Implementation | None]:
     """Inverse of :func:`save_case`."""
     payload = json.loads(Path(path).read_text())
-    _check_version(payload)
-    implementation = None
-    if "implementation" in payload:
-        implementation = implementation_from_dict(payload["implementation"])
+    check_version(payload, ModelError, "case file")
     return (
-        application_from_dict(payload["application"]),
-        architecture_from_dict(payload["architecture"]),
-        fault_model_from_dict(payload["fault_model"]),
-        implementation,
+        decode(Application, payload["application"]),
+        decode(Architecture, payload["architecture"]),
+        decode(FaultModel, payload["fault_model"]),
+        decode(Implementation | None, payload.get("implementation")),
     )
-
-
-def _check_version(data: dict[str, Any]) -> None:
-    version = data.get("version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        raise ModelError(
-            f"unsupported format version {version} (expected {FORMAT_VERSION})"
-        )

@@ -40,6 +40,7 @@ import os
 from typing import Any, Iterable, Iterator
 
 from repro.errors import TraceError
+from repro.io.codec import canonical_json
 
 #: Bump when the event layout changes incompatibly.
 TRACE_SCHEMA_VERSION = 1
@@ -65,7 +66,7 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
 
 def encode_trace_event(event: dict[str, Any]) -> str:
     """One canonical JSONL line (sorted keys, no whitespace, no newline)."""
-    return json.dumps(event, sort_keys=True, separators=(",", ":"))
+    return canonical_json(event)
 
 
 def validate_trace_event(event: Any) -> dict[str, Any]:

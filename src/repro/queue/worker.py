@@ -107,25 +107,32 @@ class Worker:
         """
         # Imported here so worker processes pay the experiments-layer import
         # on first use and module import stays cheap for the CLI.
-        from repro.io.queue_codec import payload_kind
+        from repro.io.queue_codec import parse_payload
 
         started = time.monotonic()
         label = fingerprint[:12]
         registry = obs.get_registry()
         with obs.span("job", fingerprint=fingerprint[:12]) as sp:
             try:
-                kind = payload_kind(payload)
-                sp.set(kind=kind or "case")
+                data = parse_payload(payload)
+                kind = data.get("kind")
+                sp.set(kind=kind if isinstance(kind, str) else "case")
                 if kind == "inject_shard":
-                    from repro.inject.runner import run_shard
+                    from repro.inject.runner import replay_shard
+                    from repro.inject.target import cached_context
                     from repro.io.inject_codec import (
                         decode_shard_job,
                         encode_shard_result,
                     )
 
-                    target, spec, target_fp = decode_shard_job(payload)
-                    label = f"{target.label}:{spec.describe()}"
-                    result = run_shard(target, spec, target_fp)
+                    # The target is decoded (and its claimed fingerprint
+                    # checked) only when this worker has no context for it.
+                    spec, target_fp, load_target = decode_shard_job(data)
+                    label = f"{label}:{spec.describe()}"
+                    context = cached_context(
+                        target_fp, lambda: load_target().build_context()
+                    )
+                    result = replay_shard(context, spec, target_fp)
                     elapsed = time.monotonic() - started
                     self.broker.ack(fingerprint, encode_shard_result(result))
                 else:

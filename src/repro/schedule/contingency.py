@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.schedule.table import SystemSchedule
 from repro.sim.engine import SystemSimulator
-from repro.sim.faults import FAULT_FREE, FaultScenario
+from repro.sim.faults import FaultScenario
 
 _EPS = 1e-6
 

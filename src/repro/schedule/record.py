@@ -13,7 +13,11 @@ data lives in parallel arrays indexed by *placement order*.  The record is
   DESIGN.md);
 * **picklable** — records cross process boundaries for the price of a few
   flat tuples, which is what lets experiment workers return full schedules
-  instead of summary scalars.
+  instead of summary scalars;
+* **JSON-stable** — every leaf is a str/int/float/``None`` that the
+  :mod:`json` module reproduces exactly, so the record's
+  :mod:`repro.io.codec` form (tuples as lists) re-encodes byte for byte
+  and crosses the distributed queue without pickle.
 
 Rich behaviour (per-node tables, Gantt, metrics, simulation) lives in
 *views* that render lazily from a record bound to its model context —
@@ -22,7 +26,7 @@ see :class:`repro.schedule.table.SystemSchedule`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -159,57 +163,6 @@ class ScheduleRecord:
             index = self.bindings[index][1]
         path.reverse()
         return path
-
-
-    # -- stable JSON round-trip -------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        """A JSON-safe dict whose round-trip is byte-stable.
-
-        Derived from the dataclass fields, so no field can be dropped on
-        the wire: tuples flatten to lists (recursively) and ``None``
-        deadlines to ``null``; every leaf is a str/int/float that the
-        :mod:`json` module reproduces exactly (float repr round-trips),
-        so canonical re-encoding of :meth:`from_json_dict`'s output is
-        byte-identical.  This is the wire format of the distributed
-        experiment queue — records cross machine boundaries without
-        pickle.
-        """
-        data: dict = {"version": RECORD_FORMAT_VERSION}
-        for field in fields(self):
-            data[field.name] = _to_json(getattr(self, field.name))
-        return data
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ScheduleRecord":
-        """Inverse of :meth:`to_json_dict` (strict on the format version)."""
-        version = data.get("version", RECORD_FORMAT_VERSION)
-        if version != RECORD_FORMAT_VERSION:
-            raise SchedulingError(
-                f"unsupported record format version {version} "
-                f"(expected {RECORD_FORMAT_VERSION})"
-            )
-        return cls(**{
-            field.name: _from_json(data[field.name]) for field in fields(cls)
-        })
-
-
-def _to_json(value):
-    """Tuples to lists, recursively (the record's JSON form)."""
-    if isinstance(value, tuple):
-        return [_to_json(item) for item in value]
-    return value
-
-
-def _from_json(value):
-    """Lists to tuples, recursively (inverse of :func:`_to_json`)."""
-    if isinstance(value, list):
-        return tuple(_from_json(item) for item in value)
-    return value
-
-
-#: Version tag of the record wire format (bump on layout changes).
-RECORD_FORMAT_VERSION = 1
 
 
 class RecordBuilder:

@@ -10,7 +10,6 @@ to hit — so scenario generators cap per-instance failures accordingly.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterator, Mapping

@@ -11,13 +11,14 @@ from repro.inject.importance import importance_scenarios
 from repro.inject.plan import plan_sweep
 from repro.inject.runner import run_shard
 from repro.inject.space import ScenarioSpace
+from repro.io.codec import decode, encode
 from repro.io.inject_codec import (
     decode_shard_job,
     decode_shard_result,
     encode_shard_job,
     encode_shard_result,
 )
-from repro.io.queue_codec import payload_kind
+from repro.io.queue_codec import parse_payload, payload_kind
 from repro.sim.validate import validate_schedule
 from repro.schedule.table import SystemSchedule
 from repro.sim.faults import enumerate_scenarios
@@ -104,7 +105,7 @@ def test_fold_rejects_a_result_short_of_its_budget(small_target):
     tampered["draws"] -= 1
     aggregate = InjectAggregate(plan=plan)
     with pytest.raises(SimulationError, match="draws"):
-        aggregate.fold(ShardResult.from_dict(tampered))
+        aggregate.fold(decode(ShardResult, tampered))
     assert aggregate.shards_folded == aggregate.draws == 0
     aggregate.fold(result)
     assert aggregate.draws == plan.shards[-1].scenario_budget
@@ -129,14 +130,17 @@ def test_stratified_shards_are_reproducible(replicated_target):
 
 def test_shard_job_codec_round_trip(small_target):
     plan = make_plan(small_target, shard_size=16)
-    payload = encode_shard_job(small_target.to_dict(), plan.shards[0])
+    payload = encode_shard_job(
+        encode(small_target), small_target.fingerprint(), plan.shards[0]
+    )
     assert payload_kind(payload) == "inject_shard"
-    target, spec, target_fp = decode_shard_job(payload)
+    spec, target_fp, load_target = decode_shard_job(parse_payload(payload))
+    target = load_target()
     assert spec == plan.shards[0]
     assert target_fp == small_target.fingerprint()
     assert target.fingerprint() == small_target.fingerprint()
     # Byte-stable re-encoding: payload text is canonical.
-    assert encode_shard_job(target.to_dict(), spec) == payload
+    assert encode_shard_job(encode(target), target_fp, spec) == payload
 
 
 def test_shard_result_codec_round_trip(small_target):
@@ -170,11 +174,13 @@ def test_worker_dispatches_inject_shards(small_target):
 
     plan = make_plan(small_target, shard_size=32)
     target_fp = small_target.fingerprint()
-    target_dict = small_target.to_dict()
+    target_dict = encode(small_target)
     broker = MemoryBroker()
     fingerprints = [shard_fingerprint(target_fp, s) for s in plan.shards]
     for fingerprint, spec in zip(fingerprints, plan.shards):
-        broker.enqueue(fingerprint, encode_shard_job(target_dict, spec), 3)
+        broker.enqueue(
+            fingerprint, encode_shard_job(target_dict, target_fp, spec), 3
+        )
 
     worker = Worker(broker, worker_id="w0", poll_interval_s=0.01)
     acked = worker.run(drain=True)
@@ -186,7 +192,7 @@ def test_worker_dispatches_inject_shards(small_target):
         result = decode_shard_result(broker.result(fingerprint))
         # Workers replay through the batched kernel, not the scalar
         # loop: only the batch path spends classify time per block.
-        assert result.classify_s > 0.0
+        assert result.phase_s.classify > 0.0
         aggregate.fold(result)
     assert aggregate.complete
     inline, _ = run_inject_sweep(small_target, plan)
@@ -250,7 +256,9 @@ def test_shards_of_one_target_share_one_space(small_target, monkeypatch):
     for spec in plan.shards[:2]:
         run_shard(small_target, spec, fingerprint)
     assert len(built) == 1
-    context = target_module.cached_context(small_target, fingerprint)
+    context = target_module.cached_context(
+        fingerprint, small_target.build_context
+    )
     assert context.space is built[0]
 
 
@@ -258,12 +266,13 @@ def test_context_cache_is_lru(small_target, monkeypatch):
     import repro.inject.target as target_module
 
     monkeypatch.setattr(target_module, "_CONTEXT_CACHE", {})
-    hot = target_module.cached_context(small_target, "hot")
+    build = small_target.build_context
+    hot = target_module.cached_context("hot", build)
     for cold in range(target_module._CONTEXT_CACHE_LIMIT - 1):
-        target_module.cached_context(small_target, f"cold-a-{cold}")
-    assert target_module.cached_context(small_target, "hot") is hot
-    target_module.cached_context(small_target, "cold-b")
-    assert target_module.cached_context(small_target, "hot") is hot
+        target_module.cached_context(f"cold-a-{cold}", build)
+    assert target_module.cached_context("hot", build) is hot
+    target_module.cached_context("cold-b", build)
+    assert target_module.cached_context("hot", build) is hot
     assert "cold-a-0" not in target_module._CONTEXT_CACHE
 
 

@@ -3,7 +3,8 @@
 import json
 
 from repro.gen.suite import generate_case
-from repro.io.json_codec import implementation_from_dict, implementation_to_dict
+from repro.io.codec import decode, encode
+from repro.opt.implementation import Implementation
 from repro.opt.strategy import OptimizationConfig, optimize
 from repro.schedule.contingency import synthesize_contingency_schedules
 from repro.schedule.gantt import render_gantt
@@ -53,8 +54,8 @@ class TestRenderingPipeline:
 class TestSolutionPersistence:
     def test_optimized_solution_round_trips_and_reschedules(self):
         case, result = _optimized(variant="MXR")
-        payload = json.dumps(implementation_to_dict(result.implementation))
-        restored = implementation_from_dict(json.loads(payload))
+        payload = json.dumps(encode(result.implementation))
+        restored = decode(Implementation, json.loads(payload))
         schedule = list_schedule(
             result.merged,
             result.faults,

@@ -10,19 +10,13 @@ from repro.errors import QueueError
 from repro.experiments.parallel import CaseJob, run_case_job
 from repro.experiments.runner import VariantRun
 from repro.gen.suite import generate_case
+from repro.io.codec import canonical_json, decode, encode
 from repro.io.queue_codec import (
-    canonical_json,
-    case_job_from_dict,
-    case_job_to_dict,
-    config_from_dict,
-    config_to_dict,
     decode_job,
     decode_result,
     encode_job,
     encode_result,
     job_fingerprint,
-    variant_run_from_dict,
-    variant_run_to_dict,
 )
 from repro.model.ftgraph import build_ft_graph
 from repro.opt.strategy import OptimizationConfig, optimize
@@ -91,6 +85,24 @@ PINNED_RECORD_SHA256 = (
     "740aed4a9ba6f49ee4e929e4de4da4a276274e310322c4b089dbae66787e7956"
 )
 
+#: A result map with one recorded and one record-less run.
+FIXED_RUNS = {
+    "MXR": VariantRun(
+        variant="MXR", makespan=62.5, schedulable=True, seconds=0.25,
+        evaluations=17, record=FIXED_RECORD,
+    ),
+    "NFT": VariantRun(
+        variant="NFT", makespan=50.0, schedulable=False, seconds=0.125,
+        evaluations=3, record=None,
+    ),
+}
+
+#: sha256 of ``encode_result(FIXED_RUNS, 1.5)``.  Acked results stay in
+#: broker files across upgrades and are decoded again on ``--resume``.
+PINNED_RESULT_SHA256 = (
+    "ed32a38369e58e19ab1d024c6d5fd44ee0f21622cd958353d095ba9d9b34297e"
+)
+
 
 @pytest.fixture(scope="module")
 def optimized():
@@ -148,10 +160,10 @@ class TestCaseJobRoundTrip:
             decode_job("not json at all {{{")
 
     def test_unknown_version_rejected(self):
-        data = case_job_to_dict(CaseJob(8, 2, 2, 5.0, 0, ("NFT",)))
+        data = encode(CaseJob(8, 2, 2, 5.0, 0, ("NFT",)))
         data["version"] = 99
         with pytest.raises(QueueError):
-            case_job_from_dict(data)
+            decode(CaseJob, data, QueueError)
 
 
 class TestConfigRoundTrip:
@@ -162,39 +174,40 @@ class TestConfigRoundTrip:
             assert getattr(EVERY_FIELD, field.name) != field.default, (
                 f"set {field.name} away from its default in EVERY_FIELD"
             )
-        data = json.loads(canonical_json(config_to_dict(EVERY_FIELD)))
-        assert config_from_dict(data) == EVERY_FIELD
+        data = json.loads(canonical_json(encode(EVERY_FIELD)))
+        assert decode(OptimizationConfig, data, QueueError) == EVERY_FIELD
 
     def test_missing_field_rejected(self):
-        data = config_to_dict(EVERY_FIELD)
+        data = encode(EVERY_FIELD)
         del data["cache_size"]
         with pytest.raises(QueueError, match="cache_size"):
-            config_from_dict(data)
+            decode(OptimizationConfig, data, QueueError)
 
     def test_unknown_field_rejected(self):
-        data = config_to_dict(EVERY_FIELD)
+        data = encode(EVERY_FIELD)
         data["no_such_knob"] = 8
         with pytest.raises(QueueError, match="no_such_knob"):
-            config_from_dict(data)
+            decode(OptimizationConfig, data, QueueError)
 
 
 class TestRecordRoundTrip:
     def test_record_round_trips_byte_identically(self, optimized):
         record = optimized.record
-        text = canonical_json(record.to_json_dict())
-        decoded = ScheduleRecord.from_json_dict(json.loads(text))
+        text = canonical_json(encode(record))
+        decoded = decode(ScheduleRecord, json.loads(text))
         assert decoded == record
         assert hash(decoded) == hash(record)
-        assert canonical_json(decoded.to_json_dict()) == text
+        assert canonical_json(encode(decoded)) == text
 
     def test_record_encoding_is_pinned(self):
-        text = canonical_json(FIXED_RECORD.to_json_dict())
+        text = canonical_json(encode(FIXED_RECORD))
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_RECORD_SHA256
-        assert ScheduleRecord.from_json_dict(json.loads(text)) == FIXED_RECORD
+        assert decode(ScheduleRecord, json.loads(text)) == FIXED_RECORD
 
     def test_decoded_record_passes_fault_injection(self, optimized):
-        record = ScheduleRecord.from_json_dict(
-            json.loads(canonical_json(optimized.record.to_json_dict()))
+        record = decode(
+            ScheduleRecord,
+            json.loads(canonical_json(encode(optimized.record))),
         )
         implementation = optimized.implementation
         ft = build_ft_graph(
@@ -215,7 +228,7 @@ class TestRecordRoundTrip:
 
     def test_decoded_record_renders_same_metrics(self, optimized):
         record = optimized.record
-        decoded = ScheduleRecord.from_json_dict(record.to_json_dict())
+        decoded = decode(ScheduleRecord, encode(record))
         assert decoded.makespan == record.makespan
         assert decoded.is_schedulable == record.is_schedulable
         assert decoded.critical_path() == record.critical_path()
@@ -240,8 +253,13 @@ class TestResultRoundTrip:
             variant="NFT", makespan=10.5, schedulable=True, seconds=0.1,
             evaluations=3, record=None,
         )
-        decoded = variant_run_from_dict(variant_run_to_dict(run))
+        decoded = decode(VariantRun, encode(run), QueueError)
         assert decoded == run
+
+    def test_result_text_is_pinned(self):
+        text = encode_result(FIXED_RUNS, 1.5)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_RESULT_SHA256
+        assert decode_result(text) == (FIXED_RUNS, 1.5)
 
     def test_undecodable_result_raises_queue_error(self):
         with pytest.raises(QueueError):

@@ -153,10 +153,7 @@ class TestOptimizerIntegration:
         assert totals["MXC"] <= totals["MXR"] + 1e-6
 
     def test_checkpoint_policy_round_trips_through_json(self):
-        from repro.io.json_codec import (
-            implementation_from_dict,
-            implementation_to_dict,
-        )
+        from repro.io.codec import decode, encode
         from repro.opt.implementation import Implementation
 
         impl = Implementation(
@@ -164,5 +161,5 @@ class TestOptimizerIntegration:
             mapping=ReplicaMapping({"A": ("N1",)}),
             bus=BUS1,
         )
-        restored = implementation_from_dict(implementation_to_dict(impl))
+        restored = decode(Implementation, encode(impl))
         assert restored.policies["A"].checkpoints == 4

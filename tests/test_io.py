@@ -1,26 +1,22 @@
 """Round-trip tests for the JSON codec."""
 
+import hashlib
 import json
 
 import pytest
 
-from repro.errors import ModelError
+from repro.errors import ModelError, QueueError
 from repro.apps.cruise_control import cruise_control_case
+from repro.experiments.runner import VariantRun
 from repro.gen.suite import generate_case
-from repro.io.json_codec import (
-    application_from_dict,
-    application_to_dict,
-    architecture_from_dict,
-    architecture_to_dict,
-    fault_model_from_dict,
-    fault_model_to_dict,
-    implementation_from_dict,
-    implementation_to_dict,
-    load_case,
-    save_case,
-    schedule_to_dict,
-)
+from repro.io.codec import decode, encode
+from repro.io.json_codec import load_case, save_case, schedule_to_dict
+from repro.io.queue_codec import decode_result, encode_result
+from repro.model.application import Application
+from repro.model.architecture import Architecture
+from repro.model.fault import FaultModel
 from repro.model.merge import merge_application
+from repro.opt.implementation import Implementation
 from repro.opt.initial import initial_bus_access, initial_mpa
 from repro.schedule.list_scheduler import list_schedule
 
@@ -29,11 +25,18 @@ def _case():
     return generate_case(8, 2, 2, mu=5.0, seed=3)
 
 
+#: sha256 of the ``save_case`` file of ``generate_case(8, 2, 2, mu=5.0,
+#: seed=0)`` with its initial MPA: saved case files load across upgrades.
+PINNED_CASE_SHA256 = (
+    "0b5d3081741012dc8f6162667dba775aa461e03bada392367f984beed009e807"
+)
+
+
 class TestApplicationRoundTrip:
     def test_random_case(self):
         case = _case()
-        data = application_to_dict(case.application)
-        clone = application_from_dict(json.loads(json.dumps(data)))
+        data = encode(case.application)
+        clone = decode(Application, json.loads(json.dumps(data)))
         original = case.application.graphs[0]
         restored = clone.graphs[0]
         assert {n: p.wcet for n, p in original.processes.items()} == {
@@ -44,7 +47,7 @@ class TestApplicationRoundTrip:
 
     def test_cruise_controller_preserves_constraints(self):
         app, _, _ = cruise_control_case()
-        restored = application_from_dict(application_to_dict(app))
+        restored = decode(Application, encode(app))
         graph = restored.graphs[0]
         assert len(graph) == 32
         assert graph.process("s_wheel_fl").fixed_node == "ABS"
@@ -52,16 +55,16 @@ class TestApplicationRoundTrip:
 
     def test_unsupported_version_rejected(self):
         case = _case()
-        data = application_to_dict(case.application)
+        data = encode(case.application)
         data["version"] = 99
         with pytest.raises(ModelError):
-            application_from_dict(data)
+            decode(Application, data)
 
 
 class TestArchitectureAndFaults:
     def test_architecture_round_trip(self):
         case = _case()
-        restored = architecture_from_dict(architecture_to_dict(case.architecture))
+        restored = decode(Architecture, encode(case.architecture))
         assert restored.node_names == case.architecture.node_names
 
     def test_architecture_with_bus(self):
@@ -72,13 +75,13 @@ class TestArchitectureAndFaults:
             [Node("A"), Node("B")],
             bus=BusConfig.minimal(("A", "B"), 4, ms_per_byte=2.0),
         )
-        restored = architecture_from_dict(architecture_to_dict(arch))
+        restored = decode(Architecture, encode(arch))
         assert restored.bus is not None
         assert restored.bus.signature() == arch.bus.signature()
 
     def test_fault_model_round_trip(self):
         case = _case()
-        restored = fault_model_from_dict(fault_model_to_dict(case.faults))
+        restored = decode(FaultModel, encode(case.faults))
         assert restored == case.faults
 
 
@@ -88,8 +91,8 @@ class TestImplementationRoundTrip:
         merged = merge_application(case.application)
         bus = initial_bus_access(case.application, case.architecture)
         impl = initial_mpa(merged, case.architecture, case.faults, bus)
-        restored = implementation_from_dict(
-            json.loads(json.dumps(implementation_to_dict(impl)))
+        restored = decode(
+            Implementation, json.loads(json.dumps(encode(impl)))
         )
         assert restored.signature() == impl.signature()
 
@@ -98,7 +101,7 @@ class TestImplementationRoundTrip:
         merged = merge_application(case.application)
         bus = initial_bus_access(case.application, case.architecture)
         impl = initial_mpa(merged, case.architecture, case.faults, bus)
-        restored = implementation_from_dict(implementation_to_dict(impl))
+        restored = decode(Implementation, encode(impl))
         a = list_schedule(merged, case.faults, impl.policies, impl.mapping, impl.bus)
         b = list_schedule(
             merged, case.faults, restored.policies, restored.mapping, restored.bus
@@ -138,9 +141,52 @@ class TestSaveLoadCase:
         assert restored is not None
         assert restored.signature() == impl.signature()
 
+    def test_case_file_is_pinned(self, tmp_path):
+        case = generate_case(8, 2, 2, mu=5.0, seed=0)
+        merged = merge_application(case.application)
+        bus = initial_bus_access(case.application, case.architecture)
+        impl = initial_mpa(merged, case.architecture, case.faults, bus)
+        path = tmp_path / "case.json"
+        save_case(path, case.application, case.architecture, case.faults, impl)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == PINNED_CASE_SHA256
+
     def test_problem_only(self, tmp_path):
         case = _case()
         path = tmp_path / "problem.json"
         save_case(path, case.application, case.architecture, case.faults)
         _, _, _, restored = load_case(path)
         assert restored is None
+
+
+class TestDecodeRule:
+    def test_missing_and_unknown_keys_raise_the_layer_error(self, tmp_path):
+        """A decoded dict must hold exactly its encoder's keys: case files
+        raise ModelError, queue payloads QueueError, naming type and key."""
+        case = _case()
+        path = tmp_path / "case.json"
+        save_case(path, case.application, case.architecture, case.faults)
+        saved = json.loads(path.read_text())
+        del saved["application"]["graphs"][0]["processes"][0]["release"]
+        path.write_text(json.dumps(saved))
+        with pytest.raises(ModelError, match="Process.*release"):
+            load_case(path)
+        saved = json.loads(path.read_text())
+        saved["application"]["graphs"][0]["processes"][0]["release"] = 0.0
+        saved["fault_model"]["no_such_knob"] = 1
+        path.write_text(json.dumps(saved))
+        with pytest.raises(ModelError, match="FaultModel.*no_such_knob"):
+            load_case(path)
+
+        run = VariantRun(
+            variant="NFT", makespan=10.5, schedulable=True, seconds=0.1,
+            evaluations=3, record=None,
+        )
+        result = json.loads(encode_result({"NFT": run}, 1.0))
+        del result["runs"]["NFT"]["record"]
+        with pytest.raises(QueueError, match="VariantRun.*record"):
+            decode_result(json.dumps(result))
+        result["runs"]["NFT"]["record"] = None
+        result["runs"]["NFT"]["no_such_knob"] = 1
+        with pytest.raises(QueueError, match="VariantRun.*no_such_knob"):
+            decode_result(json.dumps(result))
