@@ -132,10 +132,10 @@ def test_inject_throughput_records_bench_json(tmp_path):
                 "scenarios_per_sec": round(inline.scenarios / inline_s, 1),
                 "speedup_vs_scalar": round(scalar_s / inline_s, 2),
                 "phase_s": {
-                    "materialize": round(inline.materialize_s, 3),
-                    "simulate": round(inline.simulate_s, 3),
-                    "classify": round(inline.classify_s, 3),
-                    "fold": round(inline.fold_s, 3),
+                    "materialize": round(inline.phase_s.materialize, 3),
+                    "simulate": round(inline.phase_s.simulate, 3),
+                    "classify": round(inline.phase_s.classify, 3),
+                    "fold": round(inline.phase_s.fold, 3),
                 },
             },
             "scalar": {

@@ -719,16 +719,9 @@ def _run_export(args) -> None:
 
 
 def _run_validate(args: argparse.Namespace) -> None:
-    from repro.opt.strategy import optimize
     from repro.sim.validate import validate_schedule
 
-    case = generate_case(
-        args.processes, args.nodes, args.k, mu=args.mu, seed=args.seed
-    )
-    config = budget_for(args.processes)
-    result = optimize(
-        case.application, case.architecture, case.faults, "MXR", config
-    )
+    _, result = _optimize_random_case(args)
     print(
         f"optimized {args.processes}p/{args.nodes}n k={args.k}: "
         f"schedule length {result.makespan:.1f} ms"

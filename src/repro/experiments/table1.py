@@ -81,31 +81,66 @@ def table1a(
     return rows
 
 
-def _reference_jobs(
+def _overhead_sweep(
+    tag: str,
     seeds: Sequence[int],
     n_processes: int,
     n_nodes: int,
-    k: int,
-    mu: float,
+    reference: tuple[int, float],
+    points: Sequence[tuple[str, str, int, float]],
     time_scale: float,
     config: OptimizationConfig | None,
-    tag: str,
-) -> list[CaseJob]:
-    """NFT reference jobs (the baseline does not depend on the swept axis)."""
-    return [
-        CaseJob(
+    progress: Callable[[str], None] | None,
+    jobs: int,
+    broker,
+    resume: bool,
+) -> list[Table1Row]:
+    """MXR overhead at each swept ``(k, µ)`` point over a per-seed NFT run.
+
+    The NFT reference does not depend on the swept axis, so it is derived
+    once per seed at ``reference = (k, µ)``; the reference jobs fan out
+    together with the MXR jobs.  ``points`` lists ``(job tag, row label,
+    k, µ)`` per swept value.
+    """
+
+    def job(k: int, mu: float, seed: int, variant: str, what: str) -> CaseJob:
+        return CaseJob(
             n_processes=n_processes,
             n_nodes=n_nodes,
             k=k,
             mu=mu,
             seed=seed,
-            variants=("NFT",),
+            variants=(variant,),
             time_scale=time_scale,
             config=config,
-            label=f"{tag} NFT reference seed {seed}",
+            label=f"{tag} {what} seed {seed}",
         )
+
+    ref_jobs = [job(*reference, seed, "NFT", "NFT reference") for seed in seeds]
+    mxr_jobs = [
+        job(k, mu, seed, "MXR", what)
+        for what, _, k, mu in points
         for seed in seeds
     ]
+    results = run_case_jobs(
+        ref_jobs + mxr_jobs, n_jobs=jobs, progress=progress, broker=broker,
+        resume=resume,
+    )
+    reference_makespan = {
+        seed: results[i]["NFT"].makespan for i, seed in enumerate(seeds)
+    }
+
+    rows: list[Table1Row] = []
+    index = len(seeds)
+    for _, label, _, _ in points:
+        overheads: list[float] = []
+        for seed in seeds:
+            makespan = results[index]["MXR"].makespan
+            index += 1
+            base = reference_makespan[seed]
+            overheads.append(100.0 * (makespan - base) / base)
+        rows.append(Table1Row.from_overheads(label, overheads))
+    return rows
 
 
 def table1b(
@@ -123,46 +158,13 @@ def table1b(
 ) -> list[Table1Row]:
     """Overhead versus number of faults k (paper Table 1b).
 
-    NFT does not depend on k, so its schedule is derived once per seed; the
-    reference jobs fan out together with the MXR sweep jobs.
+    NFT does not depend on k, so its schedule is derived once per seed.
     """
-    ref_jobs = _reference_jobs(
-        seeds, n_processes, n_nodes, 1, mu, time_scale, config, "table1b"
+    return _overhead_sweep(
+        "table1b", seeds, n_processes, n_nodes, (1, mu),
+        [(f"k={k}", f"k = {k}", k, mu) for k in fault_counts],
+        time_scale, config, progress, jobs, broker, resume,
     )
-    mxr_jobs = [
-        CaseJob(
-            n_processes=n_processes,
-            n_nodes=n_nodes,
-            k=k,
-            mu=mu,
-            seed=seed,
-            variants=("MXR",),
-            time_scale=time_scale,
-            config=config,
-            label=f"table1b k={k} seed {seed}",
-        )
-        for k in fault_counts
-        for seed in seeds
-    ]
-    results = run_case_jobs(
-        ref_jobs + mxr_jobs, n_jobs=jobs, progress=progress, broker=broker,
-        resume=resume,
-    )
-    reference = {
-        seed: results[i]["NFT"].makespan for i, seed in enumerate(seeds)
-    }
-
-    rows: list[Table1Row] = []
-    index = len(seeds)
-    for k in fault_counts:
-        overheads: list[float] = []
-        for seed in seeds:
-            makespan = results[index]["MXR"].makespan
-            index += 1
-            overhead = 100.0 * (makespan - reference[seed]) / reference[seed]
-            overheads.append(overhead)
-        rows.append(Table1Row.from_overheads(f"k = {k}", overheads))
-    return rows
 
 
 def table1c(
@@ -179,40 +181,8 @@ def table1c(
     resume: bool = False,
 ) -> list[Table1Row]:
     """Overhead versus fault duration µ (paper Table 1c)."""
-    ref_jobs = _reference_jobs(
-        seeds, n_processes, n_nodes, k, 5.0, time_scale, config, "table1c"
+    return _overhead_sweep(
+        "table1c", seeds, n_processes, n_nodes, (k, 5.0),
+        [(f"mu={mu:g}", f"mu = {mu:g} ms", k, mu) for mu in fault_durations],
+        time_scale, config, progress, jobs, broker, resume,
     )
-    mxr_jobs = [
-        CaseJob(
-            n_processes=n_processes,
-            n_nodes=n_nodes,
-            k=k,
-            mu=mu,
-            seed=seed,
-            variants=("MXR",),
-            time_scale=time_scale,
-            config=config,
-            label=f"table1c mu={mu:g} seed {seed}",
-        )
-        for mu in fault_durations
-        for seed in seeds
-    ]
-    results = run_case_jobs(
-        ref_jobs + mxr_jobs, n_jobs=jobs, progress=progress, broker=broker,
-        resume=resume,
-    )
-    reference = {
-        seed: results[i]["NFT"].makespan for i, seed in enumerate(seeds)
-    }
-
-    rows: list[Table1Row] = []
-    index = len(seeds)
-    for mu in fault_durations:
-        overheads: list[float] = []
-        for seed in seeds:
-            makespan = results[index]["MXR"].makespan
-            index += 1
-            overhead = 100.0 * (makespan - reference[seed]) / reference[seed]
-            overheads.append(overhead)
-        rows.append(Table1Row.from_overheads(f"mu = {mu:g} ms", overheads))
-    return rows

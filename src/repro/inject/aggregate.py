@@ -23,7 +23,7 @@ aggregate is order-independent —
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from repro.errors import SimulationError
@@ -69,6 +69,14 @@ class PhaseSeconds:
     simulate: float = 0.0
     classify: float = 0.0
     fold: float = 0.0
+
+    def __add__(self, other: PhaseSeconds) -> PhaseSeconds:
+        return PhaseSeconds(
+            *(
+                getattr(self, f.name) + getattr(other, f.name)
+                for f in fields(self)
+            )
+        )
 
 
 @dataclass
@@ -132,10 +140,7 @@ class InjectAggregate:
     violation_draws: int = 0
     violation_scenarios: int = 0
     elapsed_s: float = 0.0  # summed worker compute time
-    materialize_s: float = 0.0
-    simulate_s: float = 0.0
-    classify_s: float = 0.0
-    fold_s: float = 0.0
+    phase_s: PhaseSeconds = field(default_factory=PhaseSeconds)
     importance_scenarios: int = 0
     importance_violations: int = 0
     strata: dict[int, StratumCoverage] = field(default_factory=dict)
@@ -176,10 +181,7 @@ class InjectAggregate:
         self.violation_draws += result.violation_draws
         self.violation_scenarios += result.violation_scenarios
         self.elapsed_s += result.elapsed_s
-        self.materialize_s += result.phase_s.materialize
-        self.simulate_s += result.phase_s.simulate
-        self.classify_s += result.phase_s.classify
-        self.fold_s += result.phase_s.fold
+        self.phase_s += result.phase_s
 
         if spec.tier == TIER_IMPORTANCE:
             self.importance_scenarios += result.scenarios
@@ -276,12 +278,7 @@ class InjectAggregate:
             "residual_upper_bound": self.residual_upper_bound(),
             "alpha": self.alpha,
             "elapsed_s": self.elapsed_s,
-            "phase_s": {
-                "materialize": self.materialize_s,
-                "simulate": self.simulate_s,
-                "classify": self.classify_s,
-                "fold": self.fold_s,
-            },
+            "phase_s": encode(self.phase_s),
             "scenarios_per_sec": self.scenarios_per_sec(),
             "class_counts": dict(sorted(self.class_counts.items())),
             "exemplars": {

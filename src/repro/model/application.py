@@ -11,10 +11,11 @@ Times are milliseconds (floats); message sizes are bytes (ints).
 
 from __future__ import annotations
 
+import bisect
+import heapq
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
-
-import networkx as nx
 
 from repro.errors import ModelError
 
@@ -127,7 +128,9 @@ class ProcessGraph:
 
     The graph does not have to be polar (single source/sink); any DAG is
     accepted, matching the randomly generated structures of the paper's
-    evaluation (§6).
+    evaluation (§6).  It is stored as plain adjacency dicts: processes and
+    messages by name in insertion order, and per process its in-messages
+    sorted by sender and its out-messages sorted by receiver.
     """
 
     def __init__(
@@ -147,48 +150,42 @@ class ProcessGraph:
         self.name = name
         self.period = period
         self.deadline = deadline
-        self._graph = nx.DiGraph()
+        self._processes: dict[str, Process] = {}
         self._messages: dict[str, Message] = {}
-        # Memoized topology views.  The merged graph is evaluated thousands
-        # of times per optimization run while its structure never changes,
-        # so the per-process message lists must not be rebuilt from the
-        # underlying graph on every candidate evaluation.
-        self._processes_cache: dict[str, Process] | None = None
-        self._in_cache: dict[str, list[Message]] | None = None
-        self._out_cache: dict[str, list[Message]] | None = None
-
-    def _invalidate_caches(self) -> None:
-        self._processes_cache = None
-        self._in_cache = None
-        self._out_cache = None
+        self._in: dict[str, list[Message]] = {}  # sorted by sender
+        self._out: dict[str, list[Message]] = {}  # sorted by receiver
 
     # -- construction -----------------------------------------------------
 
     def add_process(self, process: Process) -> Process:
         """Insert ``process`` as a vertex; names must be unique."""
-        if process.name in self._graph:
+        if process.name in self._processes:
             raise ModelError(f"duplicate process {process.name!r} in {self.name!r}")
-        self._graph.add_node(process.name, process=process)
-        self._invalidate_caches()
+        self._processes[process.name] = process
+        self._in[process.name] = []
+        self._out[process.name] = []
         return process
 
     def add_message(self, message: Message) -> Message:
-        """Insert the edge ``message.src -> message.dst`` carrying ``message``."""
+        """Insert the edge ``message.src -> message.dst`` carrying ``message``.
+
+        At most one message joins an ordered pair of processes.
+        """
         for endpoint in (message.src, message.dst):
-            if endpoint not in self._graph:
+            if endpoint not in self._processes:
                 raise ModelError(
                     f"message {message.name!r} references unknown process "
                     f"{endpoint!r}"
                 )
         if message.name in self._messages:
             raise ModelError(f"duplicate message {message.name!r} in {self.name!r}")
-        if self._graph.has_edge(message.src, message.dst):
+        if message.dst in self.successors(message.src):
             raise ModelError(
                 f"duplicate edge {message.src!r} -> {message.dst!r} in {self.name!r}"
             )
-        self._graph.add_edge(message.src, message.dst, message=message)
         self._messages[message.name] = message
-        self._invalidate_caches()
+        bisect.insort(self._in[message.dst], message, key=attrgetter("src"))
+        bisect.insort(self._out[message.src], message, key=attrgetter("dst"))
         return message
 
     def connect(self, src: str, dst: str, size: int = 1, name: str | None = None) -> Message:
@@ -203,14 +200,9 @@ class ProcessGraph:
     def processes(self) -> dict[str, Process]:
         """All processes keyed by name (insertion order preserved).
 
-        Returns a fresh dict (callers may mutate it freely); the memoized
-        view behind it avoids rebuilding from the graph on the hot path.
+        Returns a fresh dict (callers may mutate it freely).
         """
-        if self._processes_cache is None:
-            self._processes_cache = {
-                n: d["process"] for n, d in self._graph.nodes(data=True)
-            }
-        return dict(self._processes_cache)
+        return dict(self._processes)
 
     @property
     def messages(self) -> dict[str, Message]:
@@ -219,78 +211,69 @@ class ProcessGraph:
 
     def process(self, name: str) -> Process:
         try:
-            return self._graph.nodes[name]["process"]
+            return self._processes[name]
         except KeyError:
             raise ModelError(f"unknown process {name!r} in {self.name!r}") from None
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._processes)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._processes
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._graph.nodes)
+        return iter(self._processes)
 
     def predecessors(self, name: str) -> list[str]:
-        return sorted(self._graph.predecessors(name))
+        return [m.src for m in self._in[name]]
 
     def successors(self, name: str) -> list[str]:
-        return sorted(self._graph.successors(name))
+        return [m.dst for m in self._out[name]]
 
     def in_messages(self, name: str) -> list[Message]:
         """Messages feeding ``name``, ordered by sender name."""
-        if self._in_cache is None:
-            self._in_cache = {
-                n: [
-                    self._graph.edges[p, n]["message"]
-                    for p in self.predecessors(n)
-                ]
-                for n in self._graph
-            }
-        return list(self._in_cache[name])
+        return list(self._in[name])
 
     def out_messages(self, name: str) -> list[Message]:
         """Messages produced by ``name``, ordered by receiver name."""
-        if self._out_cache is None:
-            self._out_cache = {
-                n: [
-                    self._graph.edges[n, s]["message"]
-                    for s in self.successors(n)
-                ]
-                for n in self._graph
-            }
-        return list(self._out_cache[name])
+        return list(self._out[name])
 
     def edge_message(self, src: str, dst: str) -> Message:
-        try:
-            return self._graph.edges[src, dst]["message"]
-        except KeyError:
-            raise ModelError(f"no edge {src!r} -> {dst!r} in {self.name!r}") from None
+        for message in self._out.get(src, ()):
+            if message.dst == dst:
+                return message
+        raise ModelError(f"no edge {src!r} -> {dst!r} in {self.name!r}")
 
     def sources(self) -> list[str]:
         """Processes without predecessors."""
-        return sorted(n for n in self._graph if self._graph.in_degree(n) == 0)
+        return sorted(n for n, messages in self._in.items() if not messages)
 
     def sinks(self) -> list[str]:
         """Processes without successors."""
-        return sorted(n for n in self._graph if self._graph.out_degree(n) == 0)
+        return sorted(n for n, messages in self._out.items() if not messages)
 
     def topological_order(self) -> list[str]:
-        """A deterministic topological order of the process names."""
-        return list(nx.lexicographical_topological_sort(self._graph))
+        """The lexicographic topological order of the process names.
 
-    def to_networkx(self) -> nx.DiGraph:
-        """A *copy* of the underlying directed graph."""
-        return self._graph.copy()
+        Raises :class:`ModelError` naming the processes a cycle keeps from
+        ever becoming ready.
+        """
+        order = topological_sort(
+            {n: [m.dst for m in messages] for n, messages in self._out.items()}
+        )
+        if len(order) < len(self):
+            placed = set(order)
+            stuck = [n for n in self._processes if n not in placed]
+            raise ModelError(
+                f"graph {self.name!r} has a cycle: {stuck} never become ready"
+            )
+        return order
 
     def validate(self) -> None:
         """Raise :class:`ModelError` unless the graph is a non-empty DAG."""
         if len(self) == 0:
             raise ModelError(f"graph {self.name!r} is empty")
-        if not nx.is_directed_acyclic_graph(self._graph):
-            cycle = nx.find_cycle(self._graph)
-            raise ModelError(f"graph {self.name!r} has a cycle: {cycle}")
+        self.topological_order()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -298,6 +281,30 @@ class ProcessGraph:
             f"messages={len(self._messages)}, period={self.period}, "
             f"deadline={self.deadline})"
         )
+
+
+def topological_sort(successors: Mapping[str, Iterable[str]]) -> list[str]:
+    """Kahn's algorithm over ``node -> successors``, smallest ready name first.
+
+    The result is the lexicographically smallest topological order.  Nodes
+    on or behind a cycle never become ready and are left out, so the graph
+    has a cycle exactly when the order is shorter than the graph.
+    """
+    pending = dict.fromkeys(successors, 0)
+    for targets in successors.values():
+        for target in targets:
+            pending[target] += 1
+    ready = [node for node, count in pending.items() if count == 0]
+    heapq.heapify(ready)
+    order: list[str] = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for target in successors[node]:
+            pending[target] -= 1
+            if pending[target] == 0:
+                heapq.heappush(ready, target)
+    return order
 
 
 @dataclass

@@ -17,14 +17,16 @@ the list scheduler and the worst-case analysis operate on:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import networkx as nx
-
 from repro.errors import ModelError
-from repro.model.application import Message, Process, ProcessGraph
+from repro.model.application import (
+    Message,
+    Process,
+    ProcessGraph,
+    topological_sort,
+)
 from repro.model.fault import FaultModel
 from repro.model.mapping import ReplicaMapping
 from repro.model.policy import PolicyAssignment
@@ -130,21 +132,11 @@ class FTGraph:
         self._out_bus: dict[str, list[BusMessage]] = {}  # sender instance -> frames
         # Plain adjacency dicts: the FT graph is rebuilt for every candidate
         # implementation, so edge bookkeeping sits on the optimizer's hot
-        # path and must not pay generic-graph-library overhead.
+        # path.  Instance edges never repeat: one message joins an ordered
+        # process pair, so each (sender replica, receiver replica) pair is
+        # added once.
         self._succ: dict[str, list[str]] = {}
         self._pred: dict[str, list[str]] = {}
-        self._edges: set[tuple[str, str]] = set()
-
-    def _add_node(self, iid: str) -> None:
-        self._succ.setdefault(iid, [])
-        self._pred.setdefault(iid, [])
-
-    def _add_edge(self, src: str, dst: str) -> None:
-        if (src, dst) in self._edges:
-            return
-        self._edges.add((src, dst))
-        self._succ[src].append(dst)
-        self._pred[dst].append(src)
 
     # -- queries -----------------------------------------------------------
 
@@ -174,26 +166,10 @@ class FTGraph:
 
     def topological_order(self) -> list[str]:
         """Deterministic (lexicographic) topological order over instance ids."""
-        remaining = {iid: len(preds) for iid, preds in self._pred.items()}
-        ready = [iid for iid, count in remaining.items() if count == 0]
-        heapq.heapify(ready)
-        order: list[str] = []
-        while ready:
-            iid = heapq.heappop(ready)
-            order.append(iid)
-            for succ in self._succ[iid]:
-                remaining[succ] -= 1
-                if remaining[succ] == 0:
-                    heapq.heappush(ready, succ)
+        order = topological_sort(self._succ)
         if len(order) != len(self._succ):
             raise ModelError("FT graph contains a cycle")
         return order
-
-    def to_networkx(self) -> nx.DiGraph:
-        digraph = nx.DiGraph()
-        digraph.add_nodes_from(self._succ)
-        digraph.add_edges_from(self._edges)
-        return digraph
 
     def predecessors(self, iid: str) -> list[str]:
         return sorted(self._pred[iid])
@@ -220,9 +196,11 @@ def build_ft_graph(
     faults or the mapping disagrees with the policy's replica count.
     """
     ft = FTGraph()
+    succ, pred = ft._succ, ft._pred
     for process in graph.processes.values():
         for iid in _add_instances(ft, process, policies, mapping, faults):
-            ft._add_node(iid)
+            succ[iid] = []
+            pred[iid] = []
 
     for name in graph:
         receivers = ft.group_of[name]
@@ -232,7 +210,8 @@ def build_ft_graph(
             groups.append(InputGroup(message=message, sources=sources))
             for src_iid in sources:
                 for dst_iid in receivers:
-                    ft._add_edge(src_iid, dst_iid)
+                    succ[src_iid].append(dst_iid)
+                    pred[dst_iid].append(src_iid)
         for dst_iid in receivers:
             ft.inputs[dst_iid] = tuple(groups)
 
@@ -280,7 +259,6 @@ def ft_graph_with_move(
     ft._out_bus = dict(base._out_bus)
     ft._succ = dict(base._succ)
     ft._pred = dict(base._pred)
-    ft._edges = base._edges  # reconciled below iff the edge set changed
 
     for iid in old_ids:
         del ft.instances[iid]
@@ -295,8 +273,8 @@ def ft_graph_with_move(
     base_inputs = base.inputs.get(old_ids[0], ())
     for iid in new_group:
         ft.inputs[iid] = base_inputs
-    succ_processes = sorted({m.dst for m in graph.out_messages(process)})
-    pred_processes = sorted({m.src for m in graph.in_messages(process)})
+    succ_processes = graph.successors(process)
+    pred_processes = graph.predecessors(process)
     for succ_name in succ_processes:
         rewired = tuple(
             InputGroup(message=g.message, sources=new_group)
@@ -308,43 +286,33 @@ def ft_graph_with_move(
             ft.inputs[iid] = rewired
 
     # Adjacency: rebuild the out-lists of senders into the move cone and the
-    # in-lists of receivers inside it; every other list is shared.  The two
-    # sides stay consistent because every rebuilt edge has either its sender
-    # or both endpoints rebuilt (the application DAG is bipartite around
-    # ``process``: senders are its predecessors, receivers its successors).
+    # in-lists of receivers inside it (the replicas of one process share one
+    # list: adjacency lists are never mutated once built); every other list
+    # is shared with ``base``.  The two sides stay consistent because every
+    # rebuilt edge has either its sender or both endpoints rebuilt (the
+    # application DAG is bipartite around ``process``: senders are its
+    # predecessors, receivers its successors).
     sender_processes = [*pred_processes, process]
     receiver_processes = [process, *succ_processes]
     for name in sender_processes:
-        out_groups = [
-            ft.group_of[m.dst] for m in graph.out_messages(name)
+        succs = [
+            dst_iid
+            for dst in graph.successors(name)
+            for dst_iid in ft.group_of[dst]
         ]
         for iid in ft.group_of[name]:
-            seen: set[str] = set()
-            succs: list[str] = []
-            for receivers in out_groups:
-                for dst_iid in receivers:
-                    if dst_iid not in seen:
-                        seen.add(dst_iid)
-                        succs.append(dst_iid)
             ft._succ[iid] = succs
     for name in receiver_processes:
-        in_groups = [ft.group_of[m.src] for m in graph.in_messages(name)]
+        preds = [
+            src_iid
+            for src in graph.predecessors(name)
+            for src_iid in ft.group_of[src]
+        ]
         for iid in ft.group_of[name]:
-            seen = set()
-            preds: list[str] = []
-            for senders in in_groups:
-                for src_iid in senders:
-                    if src_iid not in seen:
-                        seen.add(src_iid)
-                        preds.append(src_iid)
             ft._pred[iid] = preds
     for iid in old_ids[len(new_group):]:
         del ft._succ[iid]
         del ft._pred[iid]
-    if len(new_group) != len(old_ids):
-        ft._edges = {
-            (src, dst) for src, succs in ft._succ.items() for dst in succs
-        }
 
     # Bus frames: senders in the cone get their frame lists rebuilt by the
     # same step as :func:`build_ft_graph` (the list scheduler packs a

@@ -417,10 +417,10 @@ class EvalContext:
                     for iid in old_group[len(new_group):]:
                         del remaining[iid]
                 # Each successor's pending count grows by the group delta
-                # exactly once, even when several distinct messages connect
-                # the moved process to the same successor — the instance
-                # DAG dedupes (src, dst) pairs.
-                for dst in {m.dst for m in graph.out_messages(process)}:
+                # exactly once: one message joins an ordered process pair,
+                # so every (sender replica, receiver replica) instance edge
+                # is unique.
+                for dst in graph.successors(process):
                     for iid in ft.group_of[dst]:
                         remaining[iid] += grew
         stats = self._replay(state, ft, cone, cursors, resumed)

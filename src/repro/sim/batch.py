@@ -54,13 +54,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.sim.controller import FRAME_EPS
 from repro.sim.engine import SimulationResult, SystemSimulator
 from repro.sim.faults import FaultScenario
 from repro.sim.kernel import ExecutionRecord
-
-#: Frame validity epsilon — must equal ``repro.sim.controller._EPS`` so the
-#: precompiled thresholds (``slot_start + ε``) match the scalar comparison.
-_BUS_EPS = 1e-9
 
 
 @dataclass
@@ -408,7 +405,7 @@ def _channel_lookup(channels: list[tuple[str, ...]],
                     medl) -> tuple[np.ndarray, np.ndarray]:
     """``(thresholds, table)`` of one sender's channels (see :class:`_Sends`)."""
     frames = {
-        message_id: (medl[message_id].slot_start + _BUS_EPS,
+        message_id: (medl[message_id].slot_start + FRAME_EPS,
                      medl[message_id].arrival)
         for message_ids in channels
         for message_id in message_ids

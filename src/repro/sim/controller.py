@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from repro.errors import SimulationError
 from repro.ttp.medl import MEDL
 
-_EPS = 1e-9
+#: Frame validity epsilon: a frame is valid when its data is ready by
+#: ``slot_start + FRAME_EPS`` (the batched replay compiles the same bound).
+FRAME_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ class TTPBusModel:
     def transmit(self, bus_message_id: str, data_ready: float | None) -> FrameTransmission:
         """Broadcast a frame; ``data_ready=None`` means the producer died."""
         descriptor = self._medl[bus_message_id]
-        valid = data_ready is not None and data_ready <= descriptor.slot_start + _EPS
+        valid = data_ready is not None and data_ready <= descriptor.slot_start + FRAME_EPS
         transmission = FrameTransmission(
             bus_message_id=bus_message_id,
             valid=valid,

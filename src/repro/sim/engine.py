@@ -26,8 +26,6 @@ from repro.sim.faults import FaultScenario
 from repro.sim.kernel import ExecutionRecord, NodeKernel
 from repro.ttp.bus import BusConfig
 
-_EPS = 1e-6
-
 
 @dataclass(frozen=True)
 class _SourcePlan:

@@ -50,7 +50,8 @@ class TestStructure:
         """Sensor data must reach the throttle actuator."""
         import networkx as nx
 
-        graph = cruise_control_application().graphs[0].to_networkx()
+        messages = cruise_control_application().graphs[0].messages.values()
+        graph = nx.DiGraph((m.src, m.dst) for m in messages)
         assert nx.has_path(graph, "s_wheel_fl", "a_throttle")
         assert nx.has_path(graph, "s_cc_buttons", "a_throttle")
 
