@@ -267,15 +267,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     inject.add_argument(
-        "--batch-size",
-        type=_non_negative_int,
-        default=None,
-        help=(
-            "scenarios replayed per columnar batch in the inline sweep "
-            "(0 forces the scalar reference path; default 1024)"
-        ),
-    )
-    inject.add_argument(
         "--sweep-seed",
         type=_non_negative_int,
         default=0,
@@ -568,7 +559,6 @@ def _run_inject(args: argparse.Namespace, parser, progress) -> int:
 
     from repro.experiments.reporting import format_inject
     from repro.inject.driver import run_inject_sweep
-    from repro.inject.runner import DEFAULT_BATCH_SIZE
     from repro.inject.plan import plan_sweep
     from repro.inject.target import (
         InjectTarget,
@@ -646,10 +636,6 @@ def _run_inject(args: argparse.Namespace, parser, progress) -> int:
                 local_workers=args.jobs if broker is not None else 0,
                 alpha=args.alpha,
                 progress=progress,
-                batch_size=(
-                    DEFAULT_BATCH_SIZE if args.batch_size is None
-                    else args.batch_size
-                ),
             )
     finally:
         if broker is not None:

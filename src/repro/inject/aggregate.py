@@ -37,15 +37,6 @@ from repro.inject.plan import MODE_EXHAUSTIVE, MODE_SAMPLED, SamplingPlan
 from repro.inject.stats import clopper_pearson_upper
 from repro.io.codec import encode
 
-#: Violation classes (mirrors repro.sim.validate.Violation kinds).
-VIOLATION_CLASSES = (
-    "starved",
-    "dead_process",
-    "wcf_exceeded",
-    "completion_exceeded",
-    "deadline_missed",
-)
-
 
 @dataclass(frozen=True)
 class Exemplar:

@@ -10,25 +10,30 @@ context, scenario space, importance list — lives on one
 fingerprint by :func:`~repro.inject.target.cached_context`, so a worker
 draining a sweep derives each once, not once per shard.
 
-Each block of ``batch_size`` scenarios is built array-native as one
-int64 count matrix: range and draw indices go through
-:meth:`~repro.inject.space.ScenarioSpace.counts_range` /
-``sample_counts``, one numpy unrank walk per block with no per-scenario
-Python loop, and importance scenarios through ``counts_matrix``.  One
-:meth:`~repro.sim.batch.BatchSimulator.run_batch` call replays every
-column at once, and
-:class:`~repro.sim.validate.BatchChecker` reduces the block to per-kind
-violation masks.  Only *violating* columns are re-materialized as
-:class:`FaultScenario` objects and re-run through the scalar
-:func:`~repro.sim.validate.check_scenario` — the single classification
-point — so violation counts, messages and exemplar orders are
-byte-identical to a scalar sweep.  ``batch_size=0`` falls back to the
-pure scalar path (scalar ``unrank`` / ``iter_range``, the reference the
-batch tier is tested against).
+One trial walk serves both replay kernels.  A shard's trials are
+``(keys, draws, offsets)``: the index range of an exhaustive shard, the
+distinct draws of a stratified shard with their multiplicities and
+first-draw offsets, or a slice of the importance list.  One block loop
+(``batch_size`` trials per block, the whole shard when it is 0) counts
+scenarios and draws and folds violations.  Only two steps depend on the
+kernel:
 
-Stratified shards simulate each *distinct* drawn scenario once but count
-violations per draw: the draws are the i.i.d. Bernoulli trials the
-Clopper–Pearson bound needs, the dedup is just compute savings.
+* **materialization** — the batched kernel builds one int64 count
+  matrix per block with no per-scenario Python loop
+  (:meth:`~repro.inject.space.ScenarioSpace.counts_range`,
+  ``sample_counts``, ``counts_matrix``); the scalar reference builds
+  :class:`~repro.sim.faults.FaultScenario` objects through the scalar
+  ``iter_range`` / ``unrank``;
+* **replay** — one :meth:`~repro.sim.batch.BatchSimulator.run_batch`
+  call per block, reduced to violation masks by
+  :class:`~repro.sim.validate.BatchChecker`, with only the *violating*
+  columns re-run through the scalar
+  :func:`~repro.sim.validate.check_scenario` (the single classification
+  point); the scalar reference runs ``check_scenario`` per scenario.
+
+So violation counts, messages and exemplar orders are byte-identical
+between the kernels, and ``batch_size=0`` is the reference the batched
+kernel is tested against.
 
 Each shard reports per-phase seconds (materialize / simulate / classify
 / fold) next to its wall-clock, so batch-path wins stay observable per
@@ -59,20 +64,9 @@ from repro.sim.validate import check_scenario
 
 #: Columns per ``run_batch`` call.  Wide enough to amortize the numpy
 #: dispatch across a shard, small enough that a block's arrays stay
-#: cache-resident (`ftds inject --batch-size` overrides; 0 = scalar).
+#: cache-resident (``run_shard(..., batch_size=0)`` is the scalar
+#: reference).
 DEFAULT_BATCH_SIZE = 1024
-
-
-def _importance_slice(context: InjectContext,
-                      spec: ShardSpec) -> list[FaultScenario]:
-    ranked = context.importance
-    if spec.hi > len(ranked):
-        raise SimulationError(
-            f"importance shard [{spec.lo}, {spec.hi}) exceeds the "
-            f"{len(ranked)}-scenario importance list (planner and "
-            "worker disagree on the target)"
-        )
-    return ranked[spec.lo:spec.hi]
 
 
 def run_shard(
@@ -127,12 +121,7 @@ def replay_shard(
     with obs.span(
         "shard", tier=spec.tier, stratum=stratum_key, lo=spec.lo, hi=spec.hi
     ) as sp:
-        if batch_size:
-            _run_shard_batched(
-                context, spec, result, stratum_key, batch_size, phases
-            )
-        else:
-            _run_shard_scalar(context, spec, result, stratum_key, phases)
+        _replay_trials(context, spec, result, stratum_key, batch_size, phases)
         sp.set(scenarios=result.scenarios, draws=result.draws)
     result.phase_s = PhaseSeconds(
         materialize=phases.value("materialize_s"),
@@ -181,12 +170,14 @@ def _fold_violations(
             )
 
 
-def _stratified_trials(space: ScenarioSpace, spec: ShardSpec):
-    """Distinct draw indices with multiplicities, in first-draw order.
+# -- one trial walk, two kernels ---------------------------------------------
 
-    Returns ``(distinct, multiplicity, first_offset)`` — the exact
-    dedup the scalar path performs, shared so both paths derive the same
-    RNG stream from the shard's coordinate label.
+
+def _stratified_trials(space: ScenarioSpace, spec: ShardSpec):
+    """Distinct draw indices, their multiplicities and first-draw offsets.
+
+    Both kernels derive the same RNG stream from the shard's coordinate
+    label; the lists are in first-draw order.
     """
     size = space.stratum_size(spec.stratum)
     rng = random.Random(spec.rng_label())
@@ -197,70 +188,98 @@ def _stratified_trials(space: ScenarioSpace, spec: ShardSpec):
         multiplicity[index] += 1
         first_offset.setdefault(index, offset)
     # Insertion order is first-draw order.
-    return list(first_offset), multiplicity, first_offset
+    distinct = list(first_offset)
+    return (
+        distinct,
+        [multiplicity[index] for index in distinct],
+        list(first_offset.values()),
+    )
 
 
-# -- scalar reference path ---------------------------------------------------
+def _trials(context: InjectContext, spec: ShardSpec):
+    """The shard's trials in shard order, as ``(keys, draws, offsets)``.
 
-
-def _run_shard_scalar(
-    context: InjectContext,
-    spec: ShardSpec,
-    result: ShardResult,
-    stratum_key: int,
-    phases: MetricsRegistry,
-) -> None:
-    # (scenario, draw multiplicity, offset of first draw) in shard order.
-    trials: list[tuple[FaultScenario, int, int]]
-    with phases.timer("materialize"):
-        if spec.tier == TIER_EXHAUSTIVE:
-            space = context.space
-            trials = [
-                (space.scenario(counts), 1, offset)
-                for offset, counts in enumerate(
-                    space.iter_range(spec.stratum, spec.lo, spec.hi)
-                )
-            ]
-        elif spec.tier == TIER_STRATIFIED:
-            space = context.space
-            distinct, multiplicity, first_offset = _stratified_trials(
-                space, spec
+    A key is what materialization turns into one scenario: a stratum
+    index (exhaustive and stratified tiers) or an importance scenario.
+    ``draws[i]`` counts the draws of key ``i`` and ``offsets[i]`` is the
+    shard offset of its first draw.
+    """
+    if spec.tier == TIER_EXHAUSTIVE:
+        keys = range(spec.lo, spec.hi)
+        return keys, [1] * len(keys), range(len(keys))
+    if spec.tier == TIER_STRATIFIED:
+        return _stratified_trials(context.space, spec)
+    if spec.tier == TIER_IMPORTANCE:
+        ranked = context.importance
+        if spec.hi > len(ranked):
+            raise SimulationError(
+                f"importance shard [{spec.lo}, {spec.hi}) exceeds the "
+                f"{len(ranked)}-scenario importance list (planner and "
+                "worker disagree on the target)"
             )
-            trials = [
-                (
-                    space.scenario(space.unrank(spec.stratum, index)),
-                    multiplicity[index],
-                    first_offset[index],
-                )
-                for index in distinct
-            ]
-        elif spec.tier == TIER_IMPORTANCE:
-            trials = [
-                (scenario, 1, offset)
-                for offset, scenario in enumerate(
-                    _importance_slice(context, spec)
-                )
-            ]
-        else:  # pragma: no cover - ShardSpec validates tiers
-            raise SimulationError(f"unknown shard tier {spec.tier!r}")
-
-    for scenario, draws, offset in trials:
-        result.scenarios += 1
-        result.draws += draws
-        with phases.timer("simulate"):
-            violations = check_scenario(context.simulator, scenario)
-        if not violations:
-            continue
-        with phases.timer("fold"):
-            _fold_violations(
-                result, violations, scenario, draws, offset, spec, stratum_key
-            )
+        keys = ranked[spec.lo:spec.hi]
+        return keys, [1] * len(keys), range(len(keys))
+    raise SimulationError(  # pragma: no cover - ShardSpec validates tiers
+        f"unknown shard tier {spec.tier!r}"
+    )
 
 
-# -- batched hot path --------------------------------------------------------
+def _materialize(context: InjectContext, spec: ShardSpec, keys, batched: bool):
+    """One block of keys as the kernel's input.
+
+    The batched kernel takes one int64 count matrix (``counts_range``,
+    ``sample_counts`` or ``counts_matrix``); the scalar reference takes
+    :class:`FaultScenario` objects from the scalar ``iter_range`` /
+    ``unrank`` or the importance list itself.
+    """
+    space = context.space
+    if spec.tier == TIER_IMPORTANCE:
+        return space.counts_matrix(keys) if batched else keys
+    if spec.tier == TIER_EXHAUSTIVE:
+        if batched:
+            return space.counts_range(spec.stratum, keys.start, keys.stop)
+        counts = space.iter_range(spec.stratum, keys.start, keys.stop)
+    elif batched:
+        return space.sample_counts(spec.stratum, keys)
+    else:
+        counts = (space.unrank(spec.stratum, index) for index in keys)
+    return [space.scenario(vector) for vector in counts]
 
 
-def _run_shard_batched(
+def _violations(
+    context: InjectContext, block, batched: bool, phases: MetricsRegistry
+):
+    """Yield ``(j, scenario, violations)`` for each violating trial ``j``.
+
+    The scalar reference runs :func:`check_scenario` on every scenario.
+    The batched kernel replays the whole count matrix in one
+    ``run_batch`` call, reduces it to violation masks with the
+    :class:`~repro.sim.validate.BatchChecker`, and re-runs only the
+    violating columns through :func:`check_scenario` — the single
+    classification point — so messages match the scalar path.
+    """
+    simulator = context.simulator
+    if not batched:
+        for j, scenario in enumerate(block):
+            with phases.timer("simulate"):
+                violations = check_scenario(simulator, scenario)
+            if violations:
+                yield j, scenario, violations
+        return
+    space = context.space
+    with phases.timer("simulate"):
+        replay = context.batch.run_batch(block, ids=space.ids)
+    with phases.timer("classify"):
+        columns = context.checker.check(replay).violating_columns()
+    for j in columns:
+        scenario = space.scenario(block[:, j])
+        with phases.timer("classify"):
+            violations = check_scenario(simulator, scenario)
+        if violations:  # pragma: no branch - masks mirror the scalar
+            yield int(j), scenario, violations
+
+
+def _replay_trials(
     context: InjectContext,
     spec: ShardSpec,
     result: ShardResult,
@@ -268,83 +287,29 @@ def _run_shard_batched(
     batch_size: int,
     phases: MetricsRegistry,
 ) -> None:
-    """Stream the shard through the columnar kernel, block by block.
+    """Walk the shard's trials block by block and fold the violations.
 
-    Per block: one array-native materialization of the block's count
-    matrix (``counts_range`` over an index range, ``sample_counts`` over
-    the distinct draws, ``counts_matrix`` over importance scenarios),
-    one ``run_batch`` call, one ``BatchChecker`` pass, then scalar
-    re-classification of the (rare) violating columns so messages and
-    exemplar orders match the scalar path exactly.
+    Blocks hold ``batch_size`` trials (the whole shard for the scalar
+    reference, ``batch_size`` 0).  Stratified shards simulate each
+    *distinct* drawn scenario once but count violations per draw: the
+    draws are the i.i.d. Bernoulli trials the Clopper–Pearson bound
+    needs, the dedup is just compute savings.
     """
-    space = context.space
-    batch = context.batch
-    checker = context.checker
-    ids = space.ids
-
-    def replay_block(matrix, describe_column):
-        """(matrix → masks → scalar re-check of violators) for one block."""
-        with phases.timer("simulate"):
-            replay = batch.run_batch(matrix, ids=ids)
-        with phases.timer("classify"):
-            report = checker.check(replay)
-            columns = report.violating_columns()
-        for j in columns:
-            scenario, draws, offset = describe_column(int(j))
-            with phases.timer("classify"):
-                violations = check_scenario(context.simulator, scenario)
-            if not violations:  # pragma: no cover - masks mirror the scalar
-                continue
+    with phases.timer("materialize"):
+        keys, draws, offsets = _trials(context, spec)
+    batched = bool(batch_size)
+    step = batch_size or len(keys) or 1
+    for lo in range(0, len(keys), step):
+        chunk = keys[lo:lo + step]
+        with phases.timer("materialize"):
+            block = _materialize(context, spec, chunk, batched)
+        result.scenarios += len(chunk)
+        result.draws += sum(draws[lo:lo + step])
+        for j, scenario, violations in _violations(
+            context, block, batched, phases
+        ):
             with phases.timer("fold"):
                 _fold_violations(
-                    result, violations, scenario, draws, offset, spec,
-                    stratum_key,
+                    result, violations, scenario, draws[lo + j],
+                    offsets[lo + j], spec, stratum_key,
                 )
-
-    if spec.tier == TIER_EXHAUSTIVE:
-        for lo in range(spec.lo, spec.hi, batch_size):
-            hi = min(lo + batch_size, spec.hi)
-            with phases.timer("materialize"):
-                matrix = space.counts_range(spec.stratum, lo, hi)
-            result.scenarios += hi - lo
-            result.draws += hi - lo
-            replay_block(
-                matrix,
-                lambda j, lo=lo, matrix=matrix: (
-                    space.scenario(matrix[:, j]), 1, lo - spec.lo + j
-                ),
-            )
-    elif spec.tier == TIER_STRATIFIED:
-        with phases.timer("materialize"):
-            distinct, multiplicity, first_offset = _stratified_trials(
-                space, spec
-            )
-        for lo in range(0, len(distinct), batch_size):
-            chunk = distinct[lo:lo + batch_size]
-            with phases.timer("materialize"):
-                matrix = space.sample_counts(spec.stratum, chunk)
-            result.scenarios += len(chunk)
-            result.draws += sum(multiplicity[index] for index in chunk)
-            replay_block(
-                matrix,
-                lambda j, chunk=chunk, matrix=matrix: (
-                    space.scenario(matrix[:, j]),
-                    multiplicity[chunk[j]],
-                    first_offset[chunk[j]],
-                ),
-            )
-    elif spec.tier == TIER_IMPORTANCE:
-        with phases.timer("materialize"):
-            ranked = _importance_slice(context, spec)
-        for lo in range(0, len(ranked), batch_size):
-            chunk = ranked[lo:lo + batch_size]
-            with phases.timer("materialize"):
-                matrix = space.counts_matrix(chunk)
-            result.scenarios += len(chunk)
-            result.draws += len(chunk)
-            replay_block(
-                matrix,
-                lambda j, lo=lo, chunk=chunk: (chunk[j], 1, lo + j),
-            )
-    else:  # pragma: no cover - ShardSpec validates tiers
-        raise SimulationError(f"unknown shard tier {spec.tier!r}")

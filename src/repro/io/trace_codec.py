@@ -50,8 +50,6 @@ KIND_SPAN = "span"
 KIND_EVENT = "event"
 KIND_METRICS = "metrics"
 
-EVENT_KINDS = (KIND_META, KIND_SPAN, KIND_EVENT, KIND_METRICS)
-
 SPAN_OK = "ok"
 SPAN_ERROR = "error"
 

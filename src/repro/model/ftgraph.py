@@ -134,7 +134,7 @@ class FTGraph:
         # implementation, so edge bookkeeping sits on the optimizer's hot
         # path.  Instance edges never repeat: one message joins an ordered
         # process pair, so each (sender replica, receiver replica) pair is
-        # added once.
+        # added once.  The replicas of a process share one list (``_wire``).
         self._succ: dict[str, list[str]] = {}
         self._pred: dict[str, list[str]] = {}
 
@@ -196,24 +196,18 @@ def build_ft_graph(
     faults or the mapping disagrees with the policy's replica count.
     """
     ft = FTGraph()
-    succ, pred = ft._succ, ft._pred
     for process in graph.processes.values():
-        for iid in _add_instances(ft, process, policies, mapping, faults):
-            succ[iid] = []
-            pred[iid] = []
+        _add_instances(ft, process, policies, mapping, faults)
 
     for name in graph:
-        receivers = ft.group_of[name]
-        groups: list[InputGroup] = []
-        for message in graph.in_messages(name):
-            sources = ft.group_of[message.src]
-            groups.append(InputGroup(message=message, sources=sources))
-            for src_iid in sources:
-                for dst_iid in receivers:
-                    succ[src_iid].append(dst_iid)
-                    pred[dst_iid].append(src_iid)
-        for dst_iid in receivers:
-            ft.inputs[dst_iid] = tuple(groups)
+        _wire(ft._succ, ft.group_of, name, graph.successors)
+        _wire(ft._pred, ft.group_of, name, graph.predecessors)
+        groups = tuple([
+            InputGroup(message=message, sources=ft.group_of[message.src])
+            for message in graph.in_messages(name)
+        ])
+        for dst_iid in ft.group_of[name]:
+            ft.inputs[dst_iid] = groups
 
     for name in graph:
         _add_frames(ft, graph, name, faults.k)
@@ -285,31 +279,17 @@ def ft_graph_with_move(
         for iid in ft.group_of[succ_name]:
             ft.inputs[iid] = rewired
 
-    # Adjacency: rebuild the out-lists of senders into the move cone and the
-    # in-lists of receivers inside it (the replicas of one process share one
-    # list: adjacency lists are never mutated once built); every other list
-    # is shared with ``base``.  The two sides stay consistent because every
-    # rebuilt edge has either its sender or both endpoints rebuilt (the
-    # application DAG is bipartite around ``process``: senders are its
-    # predecessors, receivers its successors).
+    # Adjacency: rewire the out-lists of senders into the move cone and the
+    # in-lists of receivers inside it by the step :func:`build_ft_graph`
+    # uses; every other list is shared with ``base``.  The two sides stay
+    # consistent because every rebuilt edge has either its sender or both
+    # endpoints rebuilt (the application DAG is bipartite around
+    # ``process``: senders are its predecessors, receivers its successors).
     sender_processes = [*pred_processes, process]
-    receiver_processes = [process, *succ_processes]
     for name in sender_processes:
-        succs = [
-            dst_iid
-            for dst in graph.successors(name)
-            for dst_iid in ft.group_of[dst]
-        ]
-        for iid in ft.group_of[name]:
-            ft._succ[iid] = succs
-    for name in receiver_processes:
-        preds = [
-            src_iid
-            for src in graph.predecessors(name)
-            for src_iid in ft.group_of[src]
-        ]
-        for iid in ft.group_of[name]:
-            ft._pred[iid] = preds
+        _wire(ft._succ, ft.group_of, name, graph.successors)
+    for name in (process, *succ_processes):
+        _wire(ft._pred, ft.group_of, name, graph.predecessors)
     for iid in old_ids[len(new_group):]:
         del ft._succ[iid]
         del ft._pred[iid]
@@ -375,6 +355,28 @@ def _add_instances(
     group = tuple(ids)
     ft.group_of[name] = group
     return group
+
+
+def _wire(
+    adjacency: dict[str, list[str]],
+    group_of: dict[str, tuple[str, ...]],
+    name: str,
+    neighbours,
+) -> None:
+    """Point every replica of process ``name`` at one adjacency list.
+
+    ``neighbours`` is ``graph.successors`` (out-lists) or
+    ``graph.predecessors`` (in-lists); the list holds the neighbours'
+    replicas in neighbour-name order, then replica order.  The replicas of
+    a process share the list: adjacency lists are never mutated once
+    built.  The cold build and the move overlay both wire through here,
+    so an overlay's lists equal a cold build's element for element.
+    """
+    shared: list[str] = []
+    for other in neighbours(name):
+        shared += group_of[other]
+    for iid in group_of[name]:
+        adjacency[iid] = shared
 
 
 def _guaranteed_backed(ft: FTGraph, group: tuple[str, ...], k: int) -> set[str]:

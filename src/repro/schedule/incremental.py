@@ -8,8 +8,11 @@ periodic :class:`~repro.schedule.state.SchedulerSnapshot`s — and replays
 *moved* variants against it:
 
 1. **Graph overlay** — :func:`repro.model.ftgraph.ft_graph_with_move`
-   rebuilds only the moved process's cone of the FT graph, sharing every
-   untouched object with the base by reference.
+   rebuilds only the moved process's cone of the FT graph, through the
+   cold build's own wiring step, sharing every untouched object with the
+   base by reference.  Priorities are recomputed for the moved group and
+   its ancestors only, by the loop of
+   :func:`repro.schedule.priorities.pcp_priorities` itself.
 2. **Prefix resume** — instances whose parameters and priorities are
    unchanged are popped in the base order until the first rank at which a
    changed instance *could* become ready (its base ready rank).  The replay
@@ -31,9 +34,11 @@ periodic :class:`~repro.schedule.state.SchedulerSnapshot`s — and replays
 Byte-identity is the contract: the sealed delta record must equal the cold
 ``build_schedule_record`` of the moved implementation *exactly* (the
 property suite in ``tests/opt/test_delta_parity.py`` enforces it, and
-DESIGN.md documents the argument).  Whenever a precondition cannot be
-established the kernel silently degrades to recomputation — the worst case
-is a full replay, never a wrong record.
+DESIGN.md documents the argument).  Only the copy path and the bus-pack
+cursor are delta-specific: recomputed rows, completions, costs and
+priorities come from the steps the cold pass runs.  Whenever a
+precondition cannot be established the kernel silently degrades to
+recomputation — the worst case is a full replay, never a wrong record.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from repro.model.fault import FaultModel
 from repro.model.ftgraph import FTGraph, ft_graph_with_move
 from repro.model.mapping import ReplicaMapping
 from repro.model.policy import PolicyAssignment
-from repro.schedule.priorities import instance_weight
+from repro.schedule.priorities import update_priorities
 from repro.schedule.record import (
     BIND_INPUT,
     BIND_NODE,
@@ -310,36 +315,21 @@ class EvalContext:
         Only the moved process's instances and their ancestors can change
         priority (a non-ancestor's longest path to a sink never runs
         through the moved process), so the base mapping is copied and just
-        those entries are recomputed — with the vertex weight
-        (:func:`~repro.schedule.priorities.instance_weight`) and tail
-        arithmetic of :func:`~repro.schedule.priorities.pcp_priorities`, so
-        every value is bit-equal to a full recomputation on ``moved_ft``.
+        those entries are recomputed by the loop of
+        :func:`~repro.schedule.priorities.pcp_priorities` itself
+        (:func:`~repro.schedule.priorities.update_priorities`), so every
+        value is bit-equal to a full recomputation on ``moved_ft``.
         """
         priorities = dict(self.priorities)
         for iid in self.ft.group_of[process]:
             del priorities[iid]
-        mu = self.faults.mu
-        round_length = self.bus.round_length
-        instances = moved_ft.instances
-        succ_of = moved_ft._succ
-        for iid in (
-            *moved_ft.group_of[process],
-            *self._ancestor_instances(process),
-        ):
-            instance = instances[iid]
-            weight = instance_weight(instance.wcet, instance.reexecutions, mu)
-            best_tail = 0.0
-            for succ in succ_of[iid]:
-                edge = (
-                    round_length
-                    if instances[succ].node != instance.node
-                    else 0.0
-                )
-                tail = edge + priorities[succ]
-                if tail > best_tail:
-                    best_tail = tail
-            priorities[iid] = weight + best_tail
-        return priorities
+        return update_priorities(
+            moved_ft,
+            self.bus,
+            self.faults,
+            (*moved_ft.group_of[process], *self._ancestor_instances(process)),
+            priorities,
+        )
 
     # -- delta replay ------------------------------------------------------
 

@@ -16,6 +16,8 @@ the mapping (edge costs) and the policy assignment (vertex costs) change.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.model.fault import FaultModel
 from repro.model.ftgraph import FTGraph
 from repro.ttp.bus import BusConfig
@@ -31,18 +33,24 @@ def instance_weight(wcet: float, reexecutions: int, mu: float) -> float:
     return wcet * (1 + reexecutions) + reexecutions * mu
 
 
-def pcp_priorities(
+def update_priorities(
     ft: FTGraph,
     bus: BusConfig,
     faults: FaultModel,
+    order: Iterable[str],
+    priorities: dict[str, float],
 ) -> dict[str, float]:
-    """Longest path to a sink for every instance of ``ft``."""
+    """(Re)compute ``priorities[iid]`` for each ``iid`` of ``order``, in order.
+
+    The one PCP loop: each successor of an instance must already hold its
+    priority when the instance is reached, so ``order`` runs from the
+    sinks up.  Returns ``priorities``, updated in place.
+    """
     round_length = bus.round_length
     mu = faults.mu
     instances = ft.instances
     succ_of = ft._succ
-    priorities: dict[str, float] = {}
-    for iid in reversed(ft.topological_order()):
+    for iid in order:
         instance = instances[iid]
         weight = instance_weight(instance.wcet, instance.reexecutions, mu)
         best_tail = 0.0
@@ -53,3 +61,14 @@ def pcp_priorities(
                 best_tail = tail
         priorities[iid] = weight + best_tail
     return priorities
+
+
+def pcp_priorities(
+    ft: FTGraph,
+    bus: BusConfig,
+    faults: FaultModel,
+) -> dict[str, float]:
+    """Longest path to a sink for every instance of ``ft``."""
+    return update_priorities(
+        ft, bus, faults, reversed(ft.topological_order()), {}
+    )

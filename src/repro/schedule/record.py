@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.errors import SchedulingError
 
@@ -38,6 +38,33 @@ BIND_NODE = 1  # the previous instance in the node's schedule
 BIND_INPUT = 2  # the dominant input sender's arrival
 
 BINDING_KINDS = ("release", "node", "input")
+
+
+def overshoots(
+    completions: Sequence[float], deadlines: Sequence[float | None]
+) -> list[tuple[int, float]]:
+    """``(process index, overshoot)`` of every process past its deadline.
+
+    The one lateness rule: an overshoot of at most 1e-9 ms is float noise,
+    not a miss.  Both sequences are indexed by process index.
+    """
+    late = []
+    for index, deadline in enumerate(deadlines):
+        if deadline is not None:
+            overshoot = completions[index] - deadline
+            if overshoot > 1e-9:
+                late.append((index, overshoot))
+    return late
+
+
+def degree_of_schedulability(
+    completions: Sequence[float], deadlines: Sequence[float | None]
+) -> float:
+    """Sum of deadline overshoots in process-index order (0.0 if none)."""
+    total = 0.0
+    for _, overshoot in overshoots(completions, deadlines):
+        total += overshoot
+    return total
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,25 +120,12 @@ class ScheduleRecord:
 
     def tardiness(self) -> dict[str, float]:
         """Per-process positive lateness versus its (absolute) deadline."""
-        late: dict[str, float] = {}
-        for index, deadline in enumerate(self.deadlines):
-            if deadline is None:
-                continue
-            overshoot = self.completions[index] - deadline
-            if overshoot > 1e-9:
-                late[self.processes[index]] = overshoot
-        return late
+        late = overshoots(self.completions, self.deadlines)
+        return {self.processes[index]: overshoot for index, overshoot in late}
 
     def degree_of_schedulability(self) -> float:
         """Sum of deadline overshoots (0.0 when schedulable)."""
-        total = 0.0
-        for index, deadline in enumerate(self.deadlines):
-            if deadline is None:
-                continue
-            overshoot = self.completions[index] - deadline
-            if overshoot > 1e-9:
-                total += overshoot
-        return total
+        return degree_of_schedulability(self.completions, self.deadlines)
 
     @property
     def is_schedulable(self) -> bool:
@@ -205,10 +219,6 @@ class RecordBuilder:
         self.finish_rows: list[tuple[float, ...]] = []
         self.bindings: list[tuple[int, int, int]] = []
         self._chains: dict[int, list[int]] = {}
-
-    @property
-    def process_count(self) -> int:
-        return len(self._processes)
 
     @property
     def node_index(self) -> Mapping[str, int]:

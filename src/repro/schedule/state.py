@@ -55,8 +55,9 @@ from repro.schedule.record import (
     BIND_RELEASE,
     RecordBuilder,
     ScheduleRecord,
+    degree_of_schedulability,
 )
-from repro.ttp.bus import BusConfig
+from repro.ttp.bus import FRAME_EPS, BusConfig
 from repro.ttp.medl import MessageDescriptor
 from repro.ttp.schedule import BusScheduler
 
@@ -220,7 +221,7 @@ def release_row(
         for (
             slot_start, _, _, row, step, reexec, kill_cost, _,
         ) in fast_senders:
-            threshold = slot_start + 1e-9
+            threshold = slot_start + FRAME_EPS
             costs = []
             for d in range(k + 1):
                 fast_cost = kill_cost
@@ -535,51 +536,13 @@ class SchedulerState:
 
     # -- sealing ------------------------------------------------------------
 
-    def cost_view(self) -> tuple[float, float]:
-        """``(degree_of_schedulability, makespan)`` without sealing a record.
+    def _completions(self) -> tuple[list[float], list[float | None]]:
+        """Guaranteed completion and deadline per process, in intern order.
 
-        Candidate pricing needs only these two floats; sealing (completion
-        derivation *plus* tuple freezing and MEDL packing) is deferred to
-        the winner of a neighbourhood.  Bit-parity contract: completions
-        are derived with the same per-group arithmetic as :meth:`seal` and
-        the degree is summed in process-intern order — the order
-        :meth:`repro.schedule.record.ScheduleRecord.degree_of_schedulability`
-        sums in — so both floats equal the sealed record's exactly.
+        The one completion step: :meth:`cost_view` prices from it and
+        :meth:`seal` freezes it, so both read the same floats.  Raises
+        :class:`~repro.errors.SchedulingError` on an incomplete schedule.
         """
-        ft = self.ft
-        if self.rank != len(ft):
-            raise SchedulingError(
-                "cost_view on an incomplete schedule "
-                f"({self.rank}/{len(ft)} instances placed)"
-            )
-        builder = self.builder
-        k = self._k
-        index_of = builder.index_of
-        wcf = builder.wcf
-        instances = ft.instances
-        group_of = ft.group_of
-        graph_processes = self.graph.processes
-        degree = 0.0
-        makespan = 0.0
-        for process in builder._processes:
-            replica_ids = group_of[process]
-            pairs = [
-                (wcf[index_of[iid]], instances[iid].kill_cost)
-                for iid in replica_ids
-            ]
-            completion = guaranteed_completion(pairs, k)
-            if completion > makespan:
-                makespan = completion
-            deadline = graph_processes[process].deadline
-            if deadline is not None:
-                overshoot = completion - deadline
-                if overshoot > 1e-9:
-                    degree += overshoot
-        return degree, makespan
-
-    def seal(self) -> ScheduleRecord:
-        """Derive completions/groups and freeze the builder into the record."""
-        get_registry().inc("scheduler.seals")
         ft = self.ft
         if self.rank != len(ft):
             unplaced = [
@@ -593,27 +556,51 @@ class SchedulerState:
         k = self._k
         index_of = builder.index_of
         wcf = builder.wcf
-        n_processes = builder.process_count
-        replicas: list[tuple[int, ...]] = [()] * n_processes
-        completions: list[float] = [0.0] * n_processes
-        deadlines: list[float | None] = [None] * n_processes
+        instances = ft.instances
+        group_of = ft.group_of
+        processes = builder._processes
         graph_processes = self.graph.processes
-        for process, replica_ids in ft.group_of.items():
-            process_id = builder.process_id(process)
-            indices = tuple(index_of[iid] for iid in replica_ids)
-            replicas[process_id] = indices
-            pairs = [
-                (wcf[index], ft.instances[iid].kill_cost)
-                for index, iid in zip(indices, replica_ids)
-            ]
-            completions[process_id] = guaranteed_completion(pairs, k)
-            deadlines[process_id] = graph_processes[process].deadline
-        medl = self.bus_scheduler.medl.packed(builder.node_index)
+        completions = [
+            guaranteed_completion(
+                [
+                    (wcf[index_of[iid]], instances[iid].kill_cost)
+                    for iid in group_of[process]
+                ],
+                k,
+            )
+            for process in processes
+        ]
+        deadlines = [graph_processes[process].deadline for process in processes]
+        return completions, deadlines
+
+    def cost_view(self) -> tuple[float, float]:
+        """``(degree_of_schedulability, makespan)`` without sealing a record.
+
+        Candidate pricing needs only these two floats; sealing (tuple
+        freezing and MEDL packing) is deferred to the winner of a
+        neighbourhood.  The completions come from the step :meth:`seal`
+        uses and the degree from the record's own lateness rule, so both
+        floats equal the sealed record's exactly.
+        """
+        completions, deadlines = self._completions()
+        degree = degree_of_schedulability(completions, deadlines)
+        return degree, max(completions)
+
+    def seal(self) -> ScheduleRecord:
+        """Derive completions/groups and freeze the builder into the record."""
+        get_registry().inc("scheduler.seals")
+        completions, deadlines = self._completions()
+        builder = self.builder
+        index_of = builder.index_of
+        group_of = self.ft.group_of
         return builder.finish(
-            process_replicas=tuple(replicas),
+            process_replicas=tuple(
+                tuple(index_of[iid] for iid in group_of[process])
+                for process in builder._processes
+            ),
             completions=tuple(completions),
             deadlines=tuple(deadlines),
-            medl=medl,
-            k=k,
+            medl=self.bus_scheduler.medl.packed(builder.node_index),
+            k=self._k,
             mu=self.faults.mu,
         )

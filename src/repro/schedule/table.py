@@ -10,22 +10,22 @@ schedule that is only priced (the optimizer hot path) never grows beyond
 its record.
 
 Materialized views are cached and mutable on purpose: tests and what-if
-tooling overwrite individual placements or completions, and every consumer
-that reads *through the view* observes the change — the validator's
-analytical bounds (``placements[iid].wcf``, ``completions``) and the
-view-level :meth:`SystemSchedule.critical_path` are such readers.  Replay
-structure, however, comes from the IR: the simulator takes instance order
-and table start times from the record's flat arrays, and contingency
-tables measure shifts against the record's root schedule, so editing a
-view never alters *when* the synthesized tables dispatch.  The record
-always keeps the as-synthesized truth.
+tooling overwrite individual placements or completions, and the validator
+reads its analytical bounds (``placements[iid].wcf``, ``completions``)
+through the view, so it observes such edits.  Schedule facts do not: the
+makespan, tardiness, degree of schedulability, completion lookup and
+critical path are the record's own, so the view and the record cannot
+disagree on them.  Replay structure also comes from the IR: the
+simulator takes instance order and table start times from the record's
+flat arrays, and contingency tables measure shifts against the record's
+root schedule, so editing a view never alters *when* the synthesized
+tables dispatch.  The record always keeps the as-synthesized truth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import SchedulingError
 from repro.model.application import ProcessGraph
 from repro.model.fault import FaultModel
 from repro.model.ftgraph import FTGraph
@@ -170,73 +170,37 @@ class SystemSchedule:
             self._medl = MEDL.from_packed(self.record.medl, self.record.nodes)
         return self._medl
 
-    # -- schedule-level metrics ---------------------------------------------
+    # -- schedule facts (the record's) --------------------------------------
 
     @property
     def makespan(self) -> float:
         """Schedule length δ: latest guaranteed completion of any process."""
-        if not self.completions:
-            raise SchedulingError("schedule has no completions")
-        return max(self.completions.values())
+        return self.record.makespan
 
     def tardiness(self) -> dict[str, float]:
         """Per-process positive lateness versus its (absolute) deadline."""
-        late: dict[str, float] = {}
-        for name, process in self.graph.processes.items():
-            if process.deadline is None:
-                continue
-            overshoot = self.completions[name] - process.deadline
-            if overshoot > 1e-9:
-                late[name] = overshoot
-        return late
+        return self.record.tardiness()
 
     def degree_of_schedulability(self) -> float:
         """Sum of deadline overshoots (0.0 when schedulable)."""
-        return sum(self.tardiness().values())
+        return self.record.degree_of_schedulability()
 
     @property
     def is_schedulable(self) -> bool:
-        return not self.tardiness()
+        return self.record.is_schedulable
+
+    def completion(self, process: str) -> float:
+        return self.record.completion(process)
+
+    def critical_path(self) -> list[str]:
+        """Process names on the chain of constraints behind the makespan."""
+        return self.record.critical_path()
 
     # -- views ----------------------------------------------------------------
 
     def node_table(self, node: str) -> list[ScheduledInstance]:
         """The static schedule table of ``node`` in execution order."""
         return [self.placements[iid] for iid in self.node_chains.get(node, [])]
-
-    def completion(self, process: str) -> float:
-        try:
-            return self.completions[process]
-        except KeyError:
-            raise SchedulingError(f"unknown process {process!r}") from None
-
-    # -- critical path -----------------------------------------------------
-
-    def critical_path(self) -> list[str]:
-        """Process names on the chain of constraints behind the makespan.
-
-        Walks the materialized placement view (so hand-edited placements
-        are honoured); the allocation-free equivalent over the raw index
-        triples is :meth:`ScheduleRecord.critical_path`, which the
-        optimizer uses.
-        """
-        target = max(self.completions, key=lambda p: (self.completions[p], p))
-        replicas = self.ft.replicas(target)
-        iid = max(replicas, key=lambda r: (self.placements[r].wcf, r))
-        path: list[str] = []
-        seen: set[str] = set()
-        guard = 0
-        while iid is not None:
-            guard += 1
-            if guard > len(self.placements) + 1:
-                raise SchedulingError("cyclic binding chain (internal error)")
-            placed = self.placements[iid]
-            if placed.process not in seen:
-                path.append(placed.process)
-                seen.add(placed.process)
-            iid = placed.binding.source
-        path.reverse()
-        return path
 
     # -- rendering -----------------------------------------------------------
 

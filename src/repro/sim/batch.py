@@ -54,10 +54,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.controller import FRAME_EPS
 from repro.sim.engine import SimulationResult, SystemSimulator
 from repro.sim.faults import FaultScenario
 from repro.sim.kernel import ExecutionRecord
+from repro.ttp.bus import FRAME_EPS
 
 
 @dataclass

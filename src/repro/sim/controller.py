@@ -12,11 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
+from repro.ttp.bus import FRAME_EPS
 from repro.ttp.medl import MEDL
-
-#: Frame validity epsilon: a frame is valid when its data is ready by
-#: ``slot_start + FRAME_EPS`` (the batched replay compiles the same bound).
-FRAME_EPS = 1e-9
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 
 from repro.schedule.table import SystemSchedule
 from repro.sim.engine import SimulationResult
+from repro.ttp.bus import FRAME_EPS
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,8 @@ def build_trace(
         descriptor = schedule.medl[bus_message.id]
         sender_node = ft.instance(bus_message.sender).node
         valid = (
-            record.produced and record.finish <= descriptor.slot_start + 1e-9
+            record.produced
+            and record.finish <= descriptor.slot_start + FRAME_EPS
         )
         events.append(
             TraceEvent(

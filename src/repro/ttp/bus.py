@@ -19,6 +19,12 @@ from typing import Iterable, Mapping
 
 from repro.errors import ConfigurationError
 
+#: Frame validity epsilon: a frame carries a message whose data is ready by
+#: ``slot_start + FRAME_EPS``.  Slot selection, release pricing and both
+#: simulators test this one predicate, so the scheduler and the simulated
+#: controller agree on which frames are valid.
+FRAME_EPS = 1e-9
+
 
 @dataclass(frozen=True)
 class BusConfig:
@@ -87,7 +93,7 @@ class BusConfig:
             return 0
         candidate = int((time - offset) / self._round_length)
         # Guard against float error: candidate may still start too early.
-        while candidate * self._round_length + offset + 1e-9 < time:
+        while candidate * self._round_length + offset + FRAME_EPS < time:
             candidate += 1
         return candidate
 

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.errors import ModelError
+from repro.gen.suite import generate_case
 from repro.model.application import Application, Process, ProcessGraph
 from repro.model.fault import FaultModel
-from repro.model.ftgraph import build_ft_graph, instance_id
+from repro.model.ftgraph import build_ft_graph, ft_graph_with_move, instance_id
 from repro.model.mapping import ReplicaMapping
 from repro.model.merge import merge_application
 from repro.model.policy import Policy, PolicyAssignment
+from repro.opt.initial import initial_bus_access, initial_mpa
 
 
 def _merged_chain():
@@ -164,3 +166,35 @@ def test_unknown_instance_raises():
         ft.instance("nope:r0")
     with pytest.raises(ModelError):
         ft.replicas("nope")
+
+
+
+def test_noop_overlay_adjacency_matches_base():
+    """An overlay that moves nothing wires every list like the cold build.
+
+    The cold build and the move overlay share one wiring step, so for
+    every process the overlay's successor and predecessor lists equal the
+    base's element for element, order included."""
+    differing = []
+    for n, nodes, k, seed in ((20, 2, 2, 0), (30, 3, 3, 1)):
+        case = generate_case(n, nodes, k, seed=seed)
+        merged = merge_application(case.application)
+        bus = initial_bus_access(case.application, case.architecture)
+        impl = initial_mpa(merged, case.architecture, case.faults, bus, 2)
+        base = build_ft_graph(merged, impl.policies, impl.mapping, case.faults)
+        for process in merged:
+            overlay = ft_graph_with_move(
+                base, merged, impl.policies, impl.mapping, case.faults,
+                process,
+            )
+            for moved, cold in (
+                (overlay._succ, base._succ),
+                (overlay._pred, base._pred),
+            ):
+                assert moved.keys() == cold.keys()
+                differing += [
+                    (n, process, iid)
+                    for iid in moved
+                    if moved[iid] != cold[iid]
+                ]
+    assert differing == []

@@ -26,6 +26,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.apps.cruise_control import cruise_control_case
 from repro.gen.suite import generate_case
 from repro.model.ftgraph import build_ft_graph
 from repro.model.merge import merge_application
@@ -34,6 +35,7 @@ from repro.opt.moves import generate_moves
 from repro.schedule.incremental import EvalContext
 from repro.schedule.list_scheduler import build_schedule_record
 from repro.schedule.priorities import pcp_priorities
+from repro.schedule.state import SchedulerState
 
 _SLOW = settings(
     max_examples=15,
@@ -162,3 +164,39 @@ def test_capture_record_matches_untraced_cold_pass():
     _, cold_rec = _cold_record(merged, faults, bus, impl)
     assert context.record == cold_rec
     assert repr(context.record) == repr(cold_rec)
+
+
+def test_cost_view_sums_several_late_processes_like_the_record():
+    """Cost parity where the degree sums overshoots over several processes.
+
+    Under a 60 ms deadline the cruise controller misses it on several
+    sinks.  The unsealed cost view of the base pass equals its sealed
+    record's ``(degree_of_schedulability, makespan)``, and every
+    neighbour priced by delta replay costs exactly what its cold record
+    does."""
+    application, architecture, faults = cruise_control_case(deadline=60.0)
+    merged = merge_application(application)
+    bus = initial_bus_access(application, architecture, 2.0)
+    impl = initial_mpa(merged, architecture, faults, bus, 2)
+    ft = build_ft_graph(merged, impl.policies, impl.mapping, faults)
+    state = SchedulerState(merged, ft, faults, bus)
+    state.run()
+    cost = state.cost_view()
+    record = state.seal()
+    assert cost == (record.degree_of_schedulability(), record.makespan)
+    assert len(record.tardiness()) > 1 and cost[0] > 0.0
+
+    context = EvalContext.capture(merged, ft, faults, bus)
+    moves = generate_moves(
+        merged, faults, impl, context.record.critical_path(), (1, 2, 3)
+    )
+    assert moves
+    for move in moves:
+        candidate = move.apply(impl)
+        state, _ = context.delta_schedule(
+            candidate.policies, candidate.mapping, move.process
+        )
+        _, cold_rec = _cold_record(merged, faults, bus, candidate)
+        assert state.cost_view() == (
+            cold_rec.degree_of_schedulability(), cold_rec.makespan
+        )

@@ -123,11 +123,6 @@ class TestRecordSemantics:
                 # Constraining predecessors are always placed earlier.
                 assert 0 <= source < index <= n
 
-    def test_critical_path_matches_view_walk(self):
-        for tag, *params in CASES:
-            schedule = build_schedule(*params)
-            assert schedule.record.critical_path() == schedule.critical_path()
-
     def test_builder_output_matches_evaluator_cache_entry(self):
         case = generate_case(8, 2, 1, mu=5.0, seed=0)
         merged = merge_application(case.application)
