@@ -135,7 +135,7 @@ def run_inject_sweep(
         broker, fingerprints, payloads, fold,
         lambda index: plan.shards[index].describe(),
         resume=resume, local_workers=local_workers, progress=progress,
-        lease_s=lease_s, validate_samples=None, max_attempts=max_attempts,
+        lease_s=lease_s, max_attempts=max_attempts,
         poll_interval_s=poll_interval_s, timeout_s=timeout_s,
     )
     aggregate.publish_metrics()

@@ -121,7 +121,7 @@ class Broker(Protocol):
         ...
 
     def pending(self) -> QueueCounts:
-        """Counts per lifecycle state."""
+        """Counts per lifecycle state, after sweeping lapsed leases."""
         ...
 
     def state(self, fingerprint: str) -> str | None:
@@ -129,7 +129,11 @@ class Broker(Protocol):
         ...
 
     def states(self) -> dict[str, str]:
-        """fingerprint -> lifecycle state for every known job."""
+        """fingerprint -> stored lifecycle state for every known job.
+
+        A plain read: a lapsed lease reads ``leased`` until the next
+        :meth:`pending` or :meth:`lease` sweeps it.
+        """
         ...
 
     def result(self, fingerprint: str) -> str | None:

@@ -20,7 +20,8 @@ sweep against the same broker with ``resume=True``:
   handed back instead of re-executed;
 * ``queued``/``leased`` jobs are left alone (in-flight work is kept;
   leases of crashed workers lapse on their own);
-* ``dead`` jobs get a fresh attempt budget;
+* ``dead`` jobs get a fresh attempt budget, including a job whose final
+  lease has lapsed: lapsed leases are swept before the states are read;
 * unknown fingerprints are enqueued.
 
 Without ``resume``, a broker that already holds jobs is refused — mixing
@@ -60,11 +61,7 @@ from repro.queue.broker import (
 )
 from repro.queue.memory import MemoryBroker
 from repro.queue.sqlite import SqliteBroker
-from repro.queue.worker import (
-    DEFAULT_LEASE_S,
-    DEFAULT_VALIDATE_SAMPLES,
-    Worker,
-)
+from repro.queue.worker import DEFAULT_LEASE_S, Worker
 
 
 @dataclass
@@ -109,7 +106,10 @@ def enqueue(
     ``payloads`` parallels ``fingerprints`` and is consumed once, in
     order, so an adapter may pass a generator.
     """
-    if not resume and broker.pending().total > 0:
+    # pending() sweeps lapsed leases (states() does not), so a job whose
+    # final lease lapsed reads dead below and a resume re-budgets it.
+    held = broker.pending().total
+    if held and not resume:
         raise ConfigurationError(
             "broker already holds jobs; pass resume=True (--resume) to "
             "continue that sweep, or point at a fresh broker path"
@@ -149,7 +149,6 @@ def drive(
     local_workers: int = 0,
     progress: Callable[[str], None] | None = None,
     lease_s: float = DEFAULT_LEASE_S,
-    validate_samples: int | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     poll_interval_s: float = 0.1,
     timeout_s: float | None = None,
@@ -174,9 +173,7 @@ def drive(
             f"resume: {stats.checkpoint_hits}/{stats.total} jobs "
             "already complete (checkpoint hits)"
         )
-    workers = _spawn_local_workers(
-        broker, local_workers, lease_s, validate_samples
-    )
+    workers = _spawn_local_workers(broker, local_workers, lease_s)
     try:
         with obs.span("collect", jobs=stats.total) as sp:
             _collect(plan, broker, on_result, describe, workers,
@@ -295,7 +292,6 @@ def run_sweep(
     local_workers: int = 0,
     progress: Callable[[str], None] | None = None,
     lease_s: float = DEFAULT_LEASE_S,
-    validate_samples: int | None = DEFAULT_VALIDATE_SAMPLES,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     poll_interval_s: float = 0.1,
     timeout_s: float | None = None,
@@ -321,18 +317,15 @@ def run_sweep(
         broker, fingerprints, payloads, land,
         lambda index: job_list[index].describe(),
         resume=resume, local_workers=local_workers, progress=progress,
-        lease_s=lease_s, validate_samples=validate_samples,
-        max_attempts=max_attempts, poll_interval_s=poll_interval_s,
-        timeout_s=timeout_s,
+        lease_s=lease_s, max_attempts=max_attempts,
+        poll_interval_s=poll_interval_s, timeout_s=timeout_s,
     )
     return [runs for runs, _ in slots], stats
 
 
 # -- local worker attachment --------------------------------------------------
 
-def _sqlite_worker_main(
-    path: str, lease_s: float, validate_samples: int | None, suffix: str
-) -> None:
+def _sqlite_worker_main(path: str, lease_s: float, suffix: str) -> None:
     """Entry point of one spawned local worker process."""
     from repro.queue.worker import default_worker_id
 
@@ -347,7 +340,6 @@ def _sqlite_worker_main(
             broker,
             worker_id=worker_id,
             lease_s=lease_s,
-            validate_samples=validate_samples,
             poll_interval_s=0.05,
         ).run(drain=True)
     finally:
@@ -357,12 +349,7 @@ def _sqlite_worker_main(
             obs.disable_tracing()
 
 
-def _spawn_local_workers(
-    broker: Broker,
-    count: int,
-    lease_s: float,
-    validate_samples: int | None,
-) -> list:
+def _spawn_local_workers(broker: Broker, count: int, lease_s: float) -> list:
     if count <= 0:
         return []
     if isinstance(broker, SqliteBroker):
@@ -373,7 +360,7 @@ def _spawn_local_workers(
         processes = [
             context.Process(
                 target=_sqlite_worker_main,
-                args=(broker.path, lease_s, validate_samples, str(i)),
+                args=(broker.path, lease_s, str(i)),
                 daemon=True,
             )
             for i in range(count)
@@ -388,7 +375,6 @@ def _spawn_local_workers(
                     broker,
                     worker_id=f"thread-{i}",
                     lease_s=lease_s,
-                    validate_samples=validate_samples,
                     poll_interval_s=0.01,
                 ).run,
                 kwargs={"drain": True},

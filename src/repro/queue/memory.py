@@ -124,9 +124,7 @@ class MemoryBroker:
             return None if job is None else job.state
 
     def states(self) -> dict[str, str]:
-        now = self._clock()
         with self._lock:
-            self._expire_locked(now)
             return {fp: job.state for fp, job in self._jobs.items()}
 
     def result(self, fingerprint: str) -> str | None:

@@ -151,9 +151,13 @@ class PlacementResult:
 class WorstCaseAnalyzer:
     """Incremental per-node chain DP driven by the list scheduler."""
 
+    #: Per-pass containers (see :class:`repro.schedule.state.SchedulerState`).
+    PER_PASS = ("tails",)
+
     def __init__(self, faults: FaultModel) -> None:
         self.faults = faults
-        self._tails: dict[str, tuple[float, ...]] = {}
+        #: node -> tail row of the node's last placed instance.
+        self.tails: dict[str, tuple[float, ...]] = {}
 
     def place(self, instance: Instance, rel_row: list[float]) -> PlacementResult:
         """Append ``instance`` to its node's chain and return its rows.
@@ -172,7 +176,7 @@ class WorstCaseAnalyzer:
         reexec = instance.reexecutions
         # Checkpointing extension: a re-execution re-runs one segment only.
         recovery = instance.recovery_unit
-        prev = self._tails.get(instance.node)
+        prev = self.tails.get(instance.node)
         step = recovery + mu
 
         # Base release per budget: the later of the guaranteed input arrival
@@ -237,7 +241,7 @@ class WorstCaseAnalyzer:
             dominant=dominant,
             dominant_budget=dominant_budget,
         )
-        self._tails[instance.node] = result.tail_row
+        self.tails[instance.node] = result.tail_row
         return result
 
 

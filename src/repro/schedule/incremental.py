@@ -167,16 +167,15 @@ class EvalContext:
             senders: list[str] = []
             desc_ids: list[str] = []
             for group in ft.inputs_of(iid):
-                message_name = group.message.name
-                replicated = len(group.sources) > 1
-                for src_iid in group.sources:
+                frame_ids = group.frame_ids
+                replicated = len(frame_ids) > 1
+                for src_iid, fast_id, guaranteed_id in frame_ids:
                     senders.append(src_iid)
                     if instances[src_iid].node == inst.node:
                         continue
-                    fast_id = f"{message_name}[{src_iid}]"
                     desc_ids.append(fast_id)
-                    if replicated and f"{fast_id}#g" in bus_messages:
-                        desc_ids.append(f"{fast_id}#g")
+                    if replicated and guaranteed_id in bus_messages:
+                        desc_ids.append(guaranteed_id)
             reads[iid] = (tuple(senders), tuple(desc_ids))
         self.reads = reads
 
@@ -448,7 +447,7 @@ class EvalContext:
         builder = state.builder
         place = state.place
         fast_frame_budget = state.fast_frame_budget
-        tails = state.analyzer._tails
+        tails = state.analyzer.tails
         bus_scheduler = state.bus_scheduler
         ready = state.ready
         remaining = state.remaining
@@ -489,9 +488,9 @@ class EvalContext:
                 ):
                     predecessor = chain_pred[iid]
                     if predecessor is None:
-                        copy = not builder._chains.get(
-                            builder._node_index.get(node, -1)
-                        )
+                        # First on its node in the base: copy only while
+                        # the node has no placement (no analyzer tail).
+                        copy = node not in tails
                     else:
                         copy = tails.get(node) == base_tails[predecessor]
 
@@ -500,7 +499,7 @@ class EvalContext:
                 node_id = builder.node_id(node)
                 kind, source, budget = base_bindings[base_at]
                 if kind == BIND_NODE:
-                    binding = (BIND_NODE, builder.chain(node_id)[-1], budget)
+                    binding = (BIND_NODE, builder.node_last[node_id], budget)
                 elif kind == BIND_INPUT:
                     binding = (
                         BIND_INPUT,

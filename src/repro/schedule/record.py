@@ -187,7 +187,11 @@ class RecordBuilder:
     the arrays into the immutable record.
     """
 
-    __slots__ = (
+    #: Per-pass containers, every one flat over immutable values: the
+    #: scheduler's one copy rule (:meth:`SchedulerState.snapshot
+    #: <repro.schedule.state.SchedulerState.snapshot>`) takes and
+    #: restores exactly these.
+    PER_PASS = (
         "_processes",
         "_process_index",
         "_nodes",
@@ -201,8 +205,9 @@ class RecordBuilder:
         "wcf",
         "finish_rows",
         "bindings",
-        "_chains",
+        "node_last",
     )
+    __slots__ = PER_PASS
 
     def __init__(self) -> None:
         self._processes: list[str] = []
@@ -218,7 +223,8 @@ class RecordBuilder:
         self.wcf: list[float] = []
         self.finish_rows: list[tuple[float, ...]] = []
         self.bindings: list[tuple[int, int, int]] = []
-        self._chains: dict[int, list[int]] = {}
+        #: node index -> instance index of the node's last placement.
+        self.node_last: dict[int, int] = {}
 
     @property
     def node_index(self) -> Mapping[str, int]:
@@ -240,13 +246,6 @@ class RecordBuilder:
             self._node_index[node] = index
             self._nodes.append(node)
         return index
-
-    def chain(self, node_id: int) -> list[int]:
-        """The (mutable) placement chain of ``node_id``, in index space."""
-        chain = self._chains.get(node_id)
-        if chain is None:
-            chain = self._chains[node_id] = []
-        return chain
 
     def place(
         self,
@@ -270,67 +269,8 @@ class RecordBuilder:
         self.wcf.append(wcf)
         self.finish_rows.append(finish_row)
         self.bindings.append(binding)
-        self.chain(node_id).append(index)
+        self.node_last[node_id] = index
         return index
-
-    def snapshot(self) -> tuple:
-        """Shallow-copy every accumulator (all elements are immutable).
-
-        Together with :meth:`restore` this lets the incremental scheduler
-        rewind a builder to a placement-rank boundary; one snapshot can
-        seed any number of replays because ``restore`` copies again.
-        """
-        return (
-            list(self._processes),
-            dict(self._process_index),
-            list(self._nodes),
-            dict(self._node_index),
-            list(self.instance_ids),
-            dict(self.index_of),
-            list(self.instance_process),
-            list(self.instance_node),
-            list(self.root_start),
-            list(self.root_finish),
-            list(self.wcf),
-            list(self.finish_rows),
-            list(self.bindings),
-            {node_id: list(chain) for node_id, chain in self._chains.items()},
-        )
-
-    def restore(self, state: tuple) -> None:
-        """Reset to a state captured by :meth:`snapshot`."""
-        (
-            processes,
-            process_index,
-            nodes,
-            node_index,
-            instance_ids,
-            index_of,
-            instance_process,
-            instance_node,
-            root_start,
-            root_finish,
-            wcf,
-            finish_rows,
-            bindings,
-            chains,
-        ) = state
-        self._processes = list(processes)
-        self._process_index = dict(process_index)
-        self._nodes = list(nodes)
-        self._node_index = dict(node_index)
-        self.instance_ids = list(instance_ids)
-        self.index_of = dict(index_of)
-        self.instance_process = list(instance_process)
-        self.instance_node = list(instance_node)
-        self.root_start = list(root_start)
-        self.root_finish = list(root_finish)
-        self.wcf = list(wcf)
-        self.finish_rows = list(finish_rows)
-        self.bindings = list(bindings)
-        self._chains = {
-            node_id: list(chain) for node_id, chain in chains.items()
-        }
 
     def finish(
         self,
@@ -341,10 +281,10 @@ class RecordBuilder:
         k: int,
         mu: float,
     ) -> ScheduleRecord:
-        node_chains = tuple(
-            tuple(self._chains.get(node_id, ()))
-            for node_id in range(len(self._nodes))
-        )
+        chains: list[list[int]] = [[] for _ in self._nodes]
+        for index, node_id in enumerate(self.instance_node):
+            chains[node_id].append(index)
+        node_chains = tuple(tuple(chain) for chain in chains)
         return ScheduleRecord(
             processes=tuple(self._processes),
             nodes=tuple(self._nodes),

@@ -14,12 +14,14 @@ list scheduler (paper §5.1, Fig. 6) advances per placement step:
 ``step()`` places exactly one instance (one iteration of the Fig. 6 loop);
 ``run()`` drives the schedule to completion; ``seal()`` freezes the record.
 The split exists for the incremental evaluation kernel
-(:mod:`repro.schedule.incremental`): every field is a flat dict/list over
-immutable values, so :meth:`SchedulerState.snapshot` captures the whole
-machine at a process-rank boundary in O(state) shallow copies and
-:meth:`SchedulerState.restore` rewinds to it, letting a re-schedule resume
-from the deepest prefix unaffected by a design change instead of starting
-cold.  The snapshot contract is documented in DESIGN.md.
+(:mod:`repro.schedule.incremental`).  Each component declares its per-pass
+containers once, as a ``PER_PASS`` tuple of attribute names, and every one
+is a flat dict/list over immutable values.  One copy rule takes them all:
+:meth:`SchedulerState.snapshot` shallow-copies each declared container at a
+process-rank boundary and :meth:`SchedulerState.restore` copies each back,
+letting a re-schedule resume from the deepest prefix unaffected by a design
+change instead of starting cold.  The snapshot contract is documented in
+DESIGN.md.
 
 With ``trace=ScheduleTrace()`` the state additionally records the per-step
 facts the delta kernel needs to decide, during a later replay, whether an
@@ -284,29 +286,26 @@ class ScheduleTrace:
     pack: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class SchedulerSnapshot:
-    """All mutable scheduler state frozen at one placement-rank boundary.
+    """Every declared per-pass container, frozen at one placement rank.
 
-    Every field is a fresh shallow container over immutable values (floats,
-    tuples, descriptors), so restoring is plain re-copying — no deep
+    ``containers`` holds a shallow copy of each container named by a
+    component's ``PER_PASS``, in :meth:`SchedulerState._parts` order.
+    Their elements are immutable (floats, tuples, descriptors), so no
     structure is shared mutably with the live state.
     """
 
     rank: int
-    ready: list[tuple[float, str]]
-    remaining: dict[str, int]
-    tails: dict[str, tuple[float, ...]]
-    bus_used: dict[tuple[str, int], int]
-    medl_by_id: dict[str, MessageDescriptor]
-    root_finish: dict[str, float]
-    no_recovery_rows: dict[str, tuple[float, ...]]
-    builder_state: tuple
+    containers: tuple
 
 
 class SchedulerState:
     """One in-flight list-scheduling pass as an explicit state machine."""
 
+    #: Per-pass containers of the state itself; its analyzer, bus
+    #: scheduler, MEDL and record builder declare their own.
+    PER_PASS = ("ready", "remaining", "root_finish", "no_recovery_rows")
     __slots__ = (
         "graph",
         "ft",
@@ -316,13 +315,10 @@ class SchedulerState:
         "analyzer",
         "bus_scheduler",
         "builder",
-        "ready",
-        "remaining",
-        "root_finish",
-        "no_recovery_rows",
         "trace",
         "_succ_of",
         "_k",
+        *PER_PASS,
     )
 
     def __init__(
@@ -395,10 +391,10 @@ class SchedulerState:
         )
         builder = self.builder
         node_id = builder.node_id(instance.node)
-        chain = builder.chain(node_id)
         result = self.analyzer.place(instance, rel_row)
-        if result.dominant == "node" and chain:
-            binding = (BIND_NODE, chain[-1], result.dominant_budget)
+        last = builder.node_last.get(node_id)
+        if result.dominant == "node" and last is not None:
+            binding = (BIND_NODE, last, result.dominant_budget)
         else:
             source = rel_sources[result.dominant_budget]
             if source is None:
@@ -503,36 +499,35 @@ class SchedulerState:
 
     # -- snapshot / restore (incremental kernel) ---------------------------
 
+    def _parts(self) -> tuple:
+        """Every component declaring per-pass containers, in snapshot order."""
+        bus_scheduler = self.bus_scheduler
+        return (
+            self, self.analyzer, bus_scheduler, bus_scheduler.medl,
+            self.builder,
+        )
+
     def snapshot(self) -> SchedulerSnapshot:
-        """Freeze all mutable state at the current rank (shallow copies)."""
-        bus_used, medl_by_id = self.bus_scheduler.bus_state()
+        """Freeze all per-pass state at the current rank (shallow copies)."""
         return SchedulerSnapshot(
-            rank=self.rank,
-            ready=list(self.ready),
-            remaining=dict(self.remaining),
-            tails=dict(self.analyzer._tails),
-            bus_used=bus_used,
-            medl_by_id=medl_by_id,
-            root_finish=dict(self.root_finish),
-            no_recovery_rows=dict(self.no_recovery_rows),
-            builder_state=self.builder.snapshot(),
+            self.rank,
+            tuple(
+                getattr(part, name).copy()
+                for part in self._parts()
+                for name in part.PER_PASS
+            ),
         )
 
     def restore(self, snapshot: SchedulerSnapshot) -> None:
         """Rewind to a snapshot taken from *this* configuration.
 
-        The snapshot's containers are copied again on restore, so one
-        snapshot can seed any number of replays.
+        Each container is copied again on restore, so one snapshot can
+        seed any number of replays.
         """
-        self.ready = list(snapshot.ready)
-        self.remaining = dict(snapshot.remaining)
-        self.analyzer._tails = dict(snapshot.tails)
-        self.bus_scheduler.restore_bus_state(
-            dict(snapshot.bus_used), dict(snapshot.medl_by_id)
-        )
-        self.root_finish = dict(snapshot.root_finish)
-        self.no_recovery_rows = dict(snapshot.no_recovery_rows)
-        self.builder.restore(snapshot.builder_state)
+        saved = iter(snapshot.containers)
+        for part in self._parts():
+            for name in part.PER_PASS:
+                setattr(part, name, next(saved).copy())
 
     # -- sealing ------------------------------------------------------------
 

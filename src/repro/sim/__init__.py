@@ -22,7 +22,6 @@ from repro.sim.validate import (
     BatchReport,
     ValidationReport,
     assert_fault_tolerant,
-    check_batch,
     validate_schedule,
 )
 
@@ -38,7 +37,6 @@ __all__ = [
     "adversarial_scenarios",
     "assert_fault_tolerant",
     "build_trace",
-    "check_batch",
     "enumerate_scenarios",
     "format_trace",
     "sample_scenarios",

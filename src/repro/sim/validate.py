@@ -298,14 +298,6 @@ class BatchChecker:
         return BatchReport(masks=masks, violating=violating)
 
 
-def check_batch(schedule: SystemSchedule, result,
-                checker: BatchChecker | None = None) -> BatchReport:
-    """One-shot batched classification (compiles a throwaway checker)."""
-    if checker is None:
-        checker = BatchChecker(schedule, result.sim)
-    return checker.check(result)
-
-
 def _check_one(
     simulator: SystemSimulator,
     scenario: FaultScenario,

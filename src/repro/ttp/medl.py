@@ -80,6 +80,9 @@ def unpack_descriptor(
 class MEDL:
     """All message descriptors of one synthesized system schedule."""
 
+    #: Per-pass containers (see :class:`repro.schedule.state.SchedulerState`).
+    PER_PASS = ("_by_id",)
+
     def __init__(self) -> None:
         self._by_id: dict[str, MessageDescriptor] = {}
 
@@ -120,15 +123,6 @@ class MEDL:
         same ready time), so re-running first-fit would be pure waste.
         """
         self._by_id[descriptor.bus_message_id] = descriptor
-
-    def restore(self, by_id: dict[str, MessageDescriptor]) -> None:
-        """Replace the contents with a previously captured id map.
-
-        Snapshot support for incremental re-scheduling: the caller owns the
-        dict (hands over a copy); descriptors are immutable and shared
-        between the base schedule and its deltas.
-        """
-        self._by_id = by_id
 
     def packed(self, node_index_of: Mapping[str, int]) -> tuple[PackedDescriptor, ...]:
         """All descriptors as packed rows, in scheduling (insertion) order."""

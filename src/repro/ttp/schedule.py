@@ -7,11 +7,12 @@ which still has payload capacity.  Delivery is at slot end (see
 :mod:`repro.ttp.bus`).
 
 The scheduler's only mutable state is the per-slot payload counter
-``(node, round) -> used bytes`` plus the MEDL it appends to.  Both are flat
-and cheaply copyable, which is what lets the incremental evaluation kernel
-(:mod:`repro.schedule.state`) snapshot and restore bus progress at arbitrary
-placement ranks.  :class:`repro.ttp.frame.Frame` views are *rendered* from
-MEDL descriptors on demand — they are not part of the scheduling state.
+``(node, round) -> used bytes`` plus the MEDL it appends to.  Both declare
+their flat maps as ``PER_PASS`` state, which is what lets the incremental
+evaluation kernel (:mod:`repro.schedule.state`) snapshot and restore bus
+progress at arbitrary placement ranks.  :class:`repro.ttp.frame.Frame`
+views are *rendered* from MEDL descriptors on demand — they are not part
+of the scheduling state.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from repro.ttp.medl import MEDL, MessageDescriptor
 
 class BusScheduler:
     """Stateful first-fit allocator of messages into TDMA frames."""
+
+    #: Per-pass containers (see :class:`repro.schedule.state.SchedulerState`).
+    PER_PASS = ("_used",)
 
     def __init__(self, bus: BusConfig) -> None:
         self.bus = bus
@@ -84,25 +88,6 @@ class BusScheduler:
                 )
                 return self.medl.add(descriptor)
             round_index += 1
-
-    # -- snapshot support (incremental evaluation kernel) -------------------
-
-    def bus_state(self) -> tuple[dict[tuple[str, int], int], dict]:
-        """Copies of the mutable scheduling state (fill levels, MEDL map)."""
-        return dict(self._used), dict(self.medl.by_id())
-
-    def restore_bus_state(
-        self,
-        used: dict[tuple[str, int], int],
-        by_id: dict,
-    ) -> None:
-        """Reset the scheduler to a state captured by :meth:`bus_state`.
-
-        The caller hands over fresh copies; descriptors themselves are
-        immutable and shared.
-        """
-        self._used = used
-        self.medl.restore(by_id)
 
     def copy_descriptor(self, descriptor: MessageDescriptor) -> None:
         """Adopt a descriptor from a base schedule without re-packing.

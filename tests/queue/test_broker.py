@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import QueueError
 from repro.queue.broker import DEAD, DONE, LEASED, QUEUED
+from repro.queue.driver import enqueue
 from repro.queue.memory import MemoryBroker
 from repro.queue.sqlite import SqliteBroker
 
@@ -190,6 +191,38 @@ class TestLeaseExpiry:
         broker.enqueue("fp1", "payload")
         assert broker.lease("w1", 60.0) is not None
         assert broker.lease("w2", 60.0) is None
+
+    def test_states_agree_after_a_lease_lapses(self, expiring_broker):
+        """states() is a plain read on every backend: a lapsed lease moves
+        only when pending() or lease() sweeps it."""
+        broker, expire = expiring_broker
+        broker.enqueue("fp1", "payload", max_attempts=3)
+        broker.lease("w1", lease_seconds(expiring_broker))
+        expire()
+        assert broker.states() == {"fp1": LEASED}
+        assert broker.pending().queued == 1
+        assert broker.states() == {"fp1": QUEUED}
+
+
+@both_backends
+class TestResume:
+    def test_resume_rebudgets_a_job_whose_final_lease_lapsed(
+        self, expiring_broker
+    ):
+        broker, expire = expiring_broker
+        enqueue(broker, ["fp1"], ["payload"], max_attempts=1)
+        broker.lease("w1", lease_seconds(expiring_broker))
+        expire()
+
+        plan = enqueue(
+            broker, ["fp1"], ["payload"], resume=True, max_attempts=1
+        )
+        assert plan.stats.reset_dead == 1
+        assert plan.stats.enqueued == 0
+        leased = broker.lease("w2", 60.0)
+        assert leased is not None
+        assert leased.fingerprint == "fp1"
+        assert leased.attempt == 1
 
 
 @pytest.mark.parametrize("expiring_broker", ["sqlite"], indirect=True)

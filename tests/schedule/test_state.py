@@ -1,11 +1,14 @@
 """Contract tests of :class:`repro.schedule.state.SchedulerState`.
 
-The incremental kernel leans on three properties of the explicit state
+The incremental kernel leans on four properties of the explicit state
 machine, checked here in isolation from the delta machinery:
 
 * **snapshot/restore byte parity** — rewinding to a mid-run snapshot and
   re-running the suffix reproduces the exact record, and one snapshot can
   seed any number of replays;
+* **declared state is complete** — a step mutates no list or dict of the
+  state or its components that is not named in a ``PER_PASS`` tuple, and
+  restore hands back fresh copies of those that are;
 * **observation-only tracing** — running with a :class:`ScheduleTrace`
   attached never perturbs the schedule;
 * **cost_view parity** — the unsealed ``(degree, makespan)`` view equals
@@ -14,6 +17,8 @@ machine, checked here in isolation from the delta machinery:
 """
 
 from __future__ import annotations
+
+import copy
 
 import pytest
 
@@ -79,6 +84,53 @@ class TestSnapshotRestore:
         state.restore(snapshot)
         state.run()
         assert state.seal() == golden
+
+
+def _components(state):
+    """The state and every component of it that declares per-pass state."""
+    bus_scheduler = state.bus_scheduler
+    return (
+        state,
+        state.analyzer,
+        bus_scheduler,
+        bus_scheduler.medl,
+        state.builder,
+    )
+
+
+def _attributes(part):
+    names = getattr(type(part), "__slots__", None) or vars(part)
+    return {name: getattr(part, name) for name in names}
+
+
+class TestDeclaredState:
+    def test_steps_mutate_declared_containers_only(self):
+        state = _state()
+        undeclared = {}
+        for part in _components(state):
+            declared = type(part).PER_PASS
+            for name in declared:
+                assert isinstance(getattr(part, name), (list, dict)), name
+            for name, value in _attributes(part).items():
+                if name not in declared and isinstance(value, (list, dict)):
+                    key = f"{type(part).__name__}.{name}"
+                    undeclared[key] = (part, name, copy.deepcopy(value))
+
+        for _ in range(len(state.ft) // 2):
+            state.step()
+        snapshot = state.snapshot()
+        saved = copy.deepcopy(snapshot.containers)
+        state.restore(snapshot)
+        state.run()
+        # The run mutated the restored containers, not the snapshot's.
+        assert snapshot.containers == saved
+
+        mutated = [
+            key
+            for key, (part, name, before) in undeclared.items()
+            if getattr(part, name) != before
+        ]
+        assert mutated == []
 
 
 class TestTrace:
