@@ -33,16 +33,18 @@ from repro.queue.worker import DEFAULT_LEASE_S
 def _shard_jobs(
     target: InjectTarget, plan: SamplingPlan
 ) -> tuple[list[str], Iterator[str]]:
-    """(fingerprints, lazily encoded payloads) of every shard of ``plan``."""
+    """(fingerprints, lazily encoded payloads) of every shard of ``plan``.
+
+    The target is serialized once per sweep; each payload adds only its
+    shard's spec.
+    """
     from repro.io.codec import encode
-    from repro.io.inject_codec import encode_shard_job
+    from repro.io.inject_codec import shard_job_encoder
 
     target_fp = target.fingerprint()
-    target_dict = encode(target)
+    encode_job = shard_job_encoder(encode(target), target_fp)
     fingerprints = [shard_fingerprint(target_fp, spec) for spec in plan.shards]
-    payloads = (
-        encode_shard_job(target_dict, target_fp, spec) for spec in plan.shards
-    )
+    payloads = (encode_job(spec) for spec in plan.shards)
     return fingerprints, payloads
 
 

@@ -40,24 +40,43 @@ from repro.io.queue_codec import parse_payload
 INJECT_JOB_KIND = "inject_shard"
 
 
-def encode_shard_job(
-    target_dict: dict[str, Any], target_fp: str, spec: ShardSpec
-) -> str:
-    """Canonical shard-job payload.
+#: Stand-in for the spec while a target's shared envelope text is built.
+_SPEC_SLOT = "<spec>"
 
-    Takes the target's encoded *dict* and fingerprint so a driver
-    enqueueing hundreds of shards encodes and hashes the (large, shared)
-    target once, not per shard.
+
+def shard_job_encoder(
+    target_dict: dict[str, Any], target_fp: str
+) -> Callable[[ShardSpec], str]:
+    """The shard-job payload encoder of one target.
+
+    A driver enqueueing hundreds of shards of one target serializes the
+    (large, shared) target once, here: the job envelope is encoded with a
+    stand-in spec and split around it, and each payload splices its own
+    spec's canonical JSON in between.  Sorted keys put ``spec`` right
+    after the constant ``kind``, so the first occurrence of the stand-in
+    is the spec's slot whatever the target holds.
     """
-    return canonical_json(
+    head, _, tail = canonical_json(
         {
             "kind": INJECT_JOB_KIND,
             "version": FORMAT_VERSION,
             "target": target_dict,
             "target_fingerprint": target_fp,
-            "spec": encode(spec),
+            "spec": _SPEC_SLOT,
         }
-    )
+    ).partition(canonical_json(_SPEC_SLOT))
+
+    def encode_job(spec: ShardSpec) -> str:
+        return head + canonical_json(encode(spec)) + tail
+
+    return encode_job
+
+
+def encode_shard_job(
+    target_dict: dict[str, Any], target_fp: str, spec: ShardSpec
+) -> str:
+    """Canonical payload of one shard job (see :func:`shard_job_encoder`)."""
+    return shard_job_encoder(target_dict, target_fp)(spec)
 
 
 def decode_shard_job(

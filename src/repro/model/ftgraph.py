@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from repro.errors import ModelError
 from repro.model.application import (
@@ -66,28 +67,78 @@ class Instance:
         return self.wcet
 
 
+class ReleasePlan(NamedTuple):
+    """The static sender inputs of one input group at one receiver node.
+
+    What pricing a receiver's release reads of its senders that no
+    placement can change: whether each sender is local to the receiver,
+    its kill cost, recovery unit and re-executions, and the ids of the
+    frames a remote sender transmits.  ``local`` holds ``(src_iid,
+    kill_cost)`` per sender on the receiver's node and ``remote`` holds
+    ``(src_iid, fast_frame_id, guaranteed_frame_id, recovery_unit,
+    reexecutions, kill_cost)`` per other sender, each in replica order;
+    ``replicated`` says whether the group has more than one sender.
+    """
+
+    replicated: bool
+    local: tuple[tuple[str, int], ...]
+    remote: tuple[tuple[str, str, str, float, int, int], ...]
+
+
 @dataclass(frozen=True)
 class InputGroup:
-    """All sender replicas feeding one receiver instance via one message."""
+    """All sender replicas feeding one receiver instance via one message.
+
+    The group holds its sender instances themselves, so everything derived
+    from it is a function of the group alone.  Groups are shared by
+    reference between a base FT graph and its move overlays
+    (:func:`ft_graph_with_move`), and an overlay builds a fresh group
+    wherever a sender changed, so a shared group can never hold a
+    :class:`ReleasePlan` built for other senders.
+    """
 
     message: Message
-    sources: tuple[str, ...]  # sender instance ids, replica order
+    senders: tuple[Instance, ...]  # sender replicas, replica order
 
     @cached_property
-    def frame_ids(self) -> tuple[tuple[str, str, str], ...]:
-        """``(src_iid, fast_frame_id, guaranteed_frame_id)`` per source.
+    def sources(self) -> tuple[str, ...]:
+        """Sender instance ids, replica order."""
+        return tuple(sender.id for sender in self.senders)
 
-        The frame id strings depend only on the message name and the sender
-        instance ids, both frozen — and groups are shared by reference
-        between a base FT graph and its move overlays
-        (:func:`ft_graph_with_move`), so the release-row hot path formats
-        each id once per group lifetime instead of once per lookup.
+    @cached_property
+    def _release_plans(self) -> dict[str, ReleasePlan]:
+        return {}
+
+    def release_plan(self, node: str) -> ReleasePlan:
+        """The group's :class:`ReleasePlan` at a receiver on ``node``.
+
+        Built on first use and kept for the group's lifetime, so the
+        release-row hot path classifies senders and formats frame ids
+        once per (group, receiver node) instead of once per placement.
         """
-        name = self.message.name
-        return tuple(
-            (src, f"{name}[{src}]", f"{name}[{src}]#g")
-            for src in self.sources
-        )
+        plan = self._release_plans.get(node)
+        if plan is None:
+            name = self.message.name
+            local: list[tuple[str, int]] = []
+            remote: list[tuple[str, str, str, float, int, int]] = []
+            for sender in self.senders:
+                src_iid = sender.id
+                if sender.node == node:
+                    local.append((src_iid, sender.kill_cost))
+                else:
+                    remote.append((
+                        src_iid,
+                        f"{name}[{src_iid}]",
+                        f"{name}[{src_iid}]#g",
+                        sender.recovery_unit,
+                        sender.reexecutions,
+                        sender.kill_cost,
+                    ))
+            plan = ReleasePlan(
+                len(self.senders) > 1, tuple(local), tuple(remote)
+            )
+            self._release_plans[node] = plan
+        return plan
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,8 +254,7 @@ def build_ft_graph(
         _wire(ft._succ, ft.group_of, name, graph.successors)
         _wire(ft._pred, ft.group_of, name, graph.predecessors)
         groups = tuple([
-            InputGroup(message=message, sources=ft.group_of[message.src])
-            for message in graph.in_messages(name)
+            _input_group(ft, message) for message in graph.in_messages(name)
         ])
         for dst_iid in ft.group_of[name]:
             ft.inputs[dst_iid] = groups
@@ -271,9 +321,7 @@ def ft_graph_with_move(
     pred_processes = graph.predecessors(process)
     for succ_name in succ_processes:
         rewired = tuple(
-            InputGroup(message=g.message, sources=new_group)
-            if g.message.src == process
-            else g
+            _input_group(ft, g.message) if g.message.src == process else g
             for g in base.inputs[base.group_of[succ_name][0]]
         )
         for iid in ft.group_of[succ_name]:
@@ -355,6 +403,15 @@ def _add_instances(
     group = tuple(ids)
     ft.group_of[name] = group
     return group
+
+
+def _input_group(ft: FTGraph, message: Message) -> InputGroup:
+    """The input group of ``message`` over its sender's current replicas."""
+    instances = ft.instances
+    return InputGroup(
+        message=message,
+        senders=tuple([instances[iid] for iid in ft.group_of[message.src]]),
+    )
 
 
 def _wire(

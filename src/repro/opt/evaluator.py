@@ -10,9 +10,12 @@ the design.
 * :meth:`Evaluator.evaluate_many` — the search hot path: a whole
   neighbourhood of single-process moves priced against one shared
   :class:`~repro.schedule.incremental.EvalContext` (:meth:`context_for`)
-  via delta re-scheduling.  Candidates are priced *without sealing a record*
-  (:meth:`~repro.schedule.state.SchedulerState.cost_view`); the caller
-  seals only the candidates it actually follows via :meth:`realize`.
+  via delta re-scheduling.  Pricing streams: each cache miss is planned,
+  replayed and priced *without sealing a record*
+  (:meth:`~repro.schedule.state.SchedulerState.cost_view`) before the next
+  is planned, and only its cost is kept, so no overlay graph or scheduler
+  state outlives its own pricing.  The caller derives a record only for
+  the candidate it actually follows, via :meth:`realize`.
 * :meth:`Evaluator.evaluate_full` — the materialized
   :class:`~repro.schedule.table.SystemSchedule` view for validation,
   rendering and final results.  It always runs or rebinds a *cold* full
@@ -20,17 +23,23 @@ the design.
   against byte for byte.
 
 Caching: results are cached by design signature in a bounded LRU
-(``cache_size=0`` disables it).  An entry holds the cost and, when one was
-ever sealed, the compact schedule record; delta-priced entries start
+(``cache_size=0`` disables it).  A candidate's signature is derived from
+its base's: only the moved process's entry is rebuilt
+(:meth:`~repro.opt.implementation.Implementation.moved_signature`), so
+every key shares its other entries with the base and equals the
+candidate's own signature.  An entry holds the cost and, when one was ever
+sealed, the compact schedule record; delta-priced entries start
 record-less and are filled in on first :meth:`realize`.  Cost parity
 between delta and full passes is exact (see ``cost_view``), so a cache
 entry's cost never depends on which pass priced it.
 
 Counters: ``evaluations`` counts *pricings of designs not served by the
 cache* and always equals ``full_evaluations + delta_evaluations``.
-Sealing a record for an already-priced design (``realize``, or a view
-request hitting a record-less entry) is materialization, not evaluation:
-it is counted in ``record_rebuilds`` instead.  :meth:`cache_info` and
+:meth:`realize` moves no counter: its record is the one the followed
+design's context capture seals, which the search needs for the next
+neighbourhood anyway.  A view request hitting a record-less entry
+rebuilds the record cold; that is materialization, not evaluation, and is
+counted in ``record_rebuilds``.  :meth:`cache_info` and
 :meth:`publish_metrics` report them.
 """
 
@@ -49,7 +58,6 @@ from repro.opt.moves import Move
 from repro.schedule.incremental import EvalContext
 from repro.schedule.list_scheduler import build_schedule_record
 from repro.schedule.record import ScheduleRecord
-from repro.schedule.state import SchedulerState
 from repro.schedule.table import SystemSchedule
 
 #: Default bound of the LRU schedule cache.  A cached entry is a compact
@@ -86,18 +94,17 @@ class CacheInfo(NamedTuple):
 class CandidateEval:
     """One priced neighbourhood candidate (see :meth:`Evaluator.evaluate_many`).
 
-    The cost is final; the schedule record is deliberately *not* — sealing
-    is deferred until :meth:`Evaluator.realize` is called for the (usually
-    single) candidate the search follows.  ``_state`` holds the completed
-    but unsealed scheduler state of a fresh delta pricing; ``_record`` is
-    set when the record already exists (a cache hit).
+    The cost is final; the schedule record is deliberately *not* — it is
+    derived only when :meth:`Evaluator.realize` is called for the (usually
+    single) candidate the search follows.  ``_record`` is set when the
+    record already exists (a cache hit) or was realized.  A candidate
+    holds no scheduler state: a fresh pricing keeps only its cost.
     """
 
     move: Move
     implementation: Implementation
     cost: Cost
     _signature: tuple
-    _state: SchedulerState | None = None
     _record: ScheduleRecord | None = None
 
 
@@ -234,62 +241,54 @@ class Evaluator:
         """Price a whole neighbourhood of ``base`` (the search hot path).
 
         One :class:`EvalContext` capture of ``base`` is shared by every
-        move; each cache miss is planned against it
-        (:meth:`EvalContext.plan_moves`) and costs one delta replay
-        *without* sealing.  The order of the result matches ``moves``.
+        move.  Every move is looked up in the cache first, in order; then
+        each miss is planned (:meth:`EvalContext.plan_moves`, one plan at a
+        time), delta-replayed and priced *without* sealing before the next
+        miss is planned.  The order of the result matches ``moves``.
         """
         moves = list(moves)
         context = self.context_for(base)
+        base_signature = base.signature()
         results: list[CandidateEval | None] = [None] * len(moves)
         pending: list[tuple[int, Implementation, tuple]] = []
         for index, move in enumerate(moves):
             candidate = move.apply(base)
-            signature = candidate.signature()
+            signature = candidate.moved_signature(base_signature, move.process)
             entry = self._lookup(signature)
             if entry is not None:
                 results[index] = CandidateEval(
-                    move, candidate, entry[0], signature, None, entry[1]
+                    move, candidate, entry[0], signature, entry[1]
                 )
             else:
                 pending.append((index, candidate, signature))
-        if pending:
-            plans = context.plan_moves(
-                [
-                    (candidate.policies, candidate.mapping, moves[index].process)
-                    for index, candidate, _ in pending
-                ]
-            )
-            for (index, candidate, signature), plan in zip(pending, plans):
-                move = moves[index]
-                state, _stats = context.delta_schedule(
-                    candidate.policies, candidate.mapping, move.process,
-                    plan=plan,
-                )
-                cost = _cost(*state.cost_view())
-                self.evaluations += 1
-                self.delta_evaluations += 1
-                self._store(signature, [cost, None])
-                results[index] = CandidateEval(
-                    move, candidate, cost, signature, state, None
-                )
+        plans = context.plan_moves(
+            (candidate.policies, candidate.mapping, moves[index].process)
+            for index, candidate, _ in pending
+        )
+        for index, candidate, signature in pending:
+            move = moves[index]
+            # Each plan is drawn inside its own pricing and dies with it.
+            cost = _price(context, candidate, move.process, next(plans))
+            self.evaluations += 1
+            self.delta_evaluations += 1
+            self._store(signature, [cost, None])
+            results[index] = CandidateEval(move, candidate, cost, signature)
         return results
 
     def realize(self, candidate: CandidateEval) -> ScheduleRecord:
-        """Seal (or fetch) the schedule record behind a priced candidate.
+        """The schedule record behind a priced candidate.
 
-        For a fresh delta pricing this seals the pending scheduler state —
-        byte-identical to a cold pass by the delta kernel's parity
-        contract; for a cache hit it returns the cached record, cold-
-        rebuilding it once if the entry was priced record-less.
+        A cache hit's record is returned as is.  A candidate without one
+        gets the record of its own captured context (:meth:`context_for`):
+        the search prices its next neighbourhood against that context, so
+        the traced cold pass it runs is the only pass the followed design
+        costs, and its record is byte-identical to sealing the delta
+        replay.  Neither ``evaluations`` nor ``record_rebuilds`` moves;
+        the record is memoized on the candidate and in its cache entry.
         """
         record = candidate._record
         if record is None:
-            state = candidate._state
-            if state is not None:
-                record = state.seal()
-                candidate._state = None
-            else:
-                record = self._rebuild_record(candidate.implementation)
+            record = self.context_for(candidate.implementation).record
             candidate._record = record
             entry = self._cache.get(candidate._signature)
             if entry is not None:
@@ -365,6 +364,19 @@ class Evaluator:
             "evaluator.cache.hit_rate",
             info.hits / requests if requests else 0.0,
         )
+
+
+def _price(
+    context: EvalContext,
+    candidate: Implementation,
+    process: str,
+    plan: tuple,
+) -> Cost:
+    """Cost of one planned move; its replayed state dies on return."""
+    state, _stats = context.delta_schedule(
+        candidate.policies, candidate.mapping, process, plan=plan
+    )
+    return _cost(*state.cost_view())
 
 
 def _cost(degree: float, makespan: float) -> Cost:

@@ -46,6 +46,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import Iterable, Iterator
 
 from repro.model.application import ProcessGraph
 from repro.model.fault import FaultModel
@@ -157,22 +158,20 @@ class EvalContext:
         self.chain_pred = chain_pred
 
         # Per-instance read sets against the *base* graph: which sender
-        # instances and which MEDL descriptors its release row consults.
-        # Valid for every instance the overlay shares with the base (the
-        # moved process's own instances never take the copy path).
+        # instances and which MEDL descriptors its release row consults,
+        # read off the same release plans.  Valid for every instance the
+        # overlay shares with the base (the moved process's own instances
+        # never take the copy path).
         reads: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-        instances = ft.instances
         bus_messages = ft.bus_messages
-        for iid, inst in instances.items():
+        for iid, inst in ft.instances.items():
             senders: list[str] = []
             desc_ids: list[str] = []
             for group in ft.inputs_of(iid):
-                frame_ids = group.frame_ids
-                replicated = len(frame_ids) > 1
-                for src_iid, fast_id, guaranteed_id in frame_ids:
+                replicated, local, remote = group.release_plan(inst.node)
+                senders += [src_iid for src_iid, _ in local]
+                for src_iid, fast_id, guaranteed_id, *_ in remote:
                     senders.append(src_iid)
-                    if instances[src_iid].node == inst.node:
-                        continue
                     desc_ids.append(fast_id)
                     if replicated and guaranteed_id in bus_messages:
                         desc_ids.append(guaranteed_id)
@@ -347,10 +346,16 @@ class EvalContext:
 
     def plan_moves(
         self,
-        candidates: list[tuple[PolicyAssignment, ReplicaMapping, str]],
-    ) -> list[tuple[FTGraph, dict[str, float], MoveCone]]:
-        """:meth:`plan_move` for a whole neighbourhood, in order."""
-        return [self.plan_move(*candidate) for candidate in candidates]
+        candidates: Iterable[tuple[PolicyAssignment, ReplicaMapping, str]],
+    ) -> Iterator[tuple[FTGraph, dict[str, float], MoveCone]]:
+        """:meth:`plan_move` for a whole neighbourhood, in order.
+
+        A generator: each plan is built only when it is drawn, so a caller
+        that replays one plan before drawing the next keeps a single
+        overlay graph alive at a time.
+        """
+        for candidate in candidates:
+            yield self.plan_move(*candidate)
 
     def delta_schedule(
         self,

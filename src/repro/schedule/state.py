@@ -64,75 +64,13 @@ from repro.ttp.medl import MessageDescriptor
 from repro.ttp.schedule import BusScheduler
 
 
-def group_release_inputs(
-    group,
-    node: str,
-    instances,
-    root_finish: dict[str, float],
-    no_recovery_rows: dict[str, tuple[float, ...]],
-    medl_by_id: dict[str, MessageDescriptor],
-    mu: float,
-    owner: str,
-):
-    """Classify one input group's senders for release pricing.
-
-    :func:`release_row` below prices each input group of an instance from
-    this local/masked/fast sender classification.
-
-    Returns ``(immune, fast_senders)``:
-
-    * ``immune`` — ``(arrival, kill_cost, src_iid)`` entries whose price
-      does not depend on the shared delay budget: local finishes and
-      masked frames fall only with their sender.
-    * ``fast_senders`` — ``(slot_start, slot_end, guaranteed_slot_end |
-      None, no_recovery_row, recovery_step, reexecutions, kill_cost,
-      src_iid)`` per replicated remote sender.
-
-    A remote sender whose fast frame has no MEDL descriptor raises
-    :class:`~repro.errors.SchedulingError`: bus scheduling is out of sync
-    with the FT graph.
-    """
-    immune: list[tuple[float, int, str]] = []
-    fast_senders: list[
-        tuple[float, float, float | None, tuple[float, ...], float, int, int, str]
-    ] = []
-    frame_ids = group.frame_ids
-    replicated = len(frame_ids) > 1
-    for src_iid, fast_id, guaranteed_id in frame_ids:
-        src = instances[src_iid]
-        kill_cost = src.kill_cost
-        if src.node == node:
-            # Local input: delays of the local chain are handled by the
-            # node DP, so only the terminal kill removes this entry.
-            immune.append((root_finish[src_iid], kill_cost, src_iid))
-            continue
-        descriptor = medl_by_id.get(fast_id)
-        if descriptor is None:
-            raise SchedulingError(
-                f"no MEDL entry for bus message {fast_id!r} while "
-                f"releasing {owner!r} (bus scheduling out of sync with "
-                f"the FT graph)"
-            )
-        if not replicated:
-            # Masked frame: slot lies after the sender's WCF, so within
-            # budget k only a terminal kill (impossible for a sole
-            # replica of a valid policy) removes it.
-            immune.append((descriptor.slot_end, kill_cost, src_iid))
-        else:
-            guaranteed = medl_by_id.get(guaranteed_id)
-            fast_senders.append(
-                (
-                    descriptor.slot_start,
-                    descriptor.slot_end,
-                    None if guaranteed is None else guaranteed.slot_end,
-                    no_recovery_rows[src_iid],
-                    src.recovery_unit + mu,
-                    src.reexecutions,
-                    kill_cost,
-                    src_iid,
-                )
-            )
-    return immune, fast_senders
+def _unscheduled(fast_id: str, owner: str) -> SchedulingError:
+    """The error for a remote sender's frame that has no MEDL descriptor:
+    bus scheduling is out of sync with the FT graph."""
+    return SchedulingError(
+        f"no MEDL entry for bus message {fast_id!r} while releasing "
+        f"{owner!r} (bus scheduling out of sync with the FT graph)"
+    )
 
 
 def release_row(
@@ -187,43 +125,63 @@ def release_row(
     """
     k = faults.k
     mu = faults.mu
-    instances = ft.instances
-    instance = instances[iid]
+    instance = ft.instances[iid]
     node = instance.node
 
     rel_row = [instance.release] * (k + 1)
     sources: list[str | None] = [None] * (k + 1)
 
     for group in ft.inputs_of(iid):
-        immune, fast_senders = group_release_inputs(
-            group, node, instances, root_finish, no_recovery_rows,
-            medl_by_id, mu, iid,
-        )
-
-        if not fast_senders and len(immune) == 1:
-            # Single-source group (the common case): the lone entry survives
-            # every budget (`group_survivor_indices` pins index 0), so the
-            # breakpoint scan below would only rediscover it.
-            arrival, _, src_iid = immune[0]
+        # The senders' static inputs come from the group's plan for this
+        # node; only arrivals and rows are read from the live state.
+        replicated, local, remote = group.release_plan(node)
+        if not replicated:
+            # Single-source group (the common case): a local finish, whose
+            # delays the node DP covers, or a masked frame, whose slot lies
+            # after the sender's WCF.  Only a terminal kill (impossible for
+            # a sole replica of a valid policy) removes it, so the lone
+            # entry survives every budget (`group_survivor_indices` pins
+            # index 0) and the breakpoint scan below would only rediscover
+            # it.
+            if local:
+                src_iid = local[0][0]
+                arrival = root_finish[src_iid]
+            else:
+                src_iid, fast_id = remote[0][0], remote[0][1]
+                descriptor = medl_by_id.get(fast_id)
+                if descriptor is None:
+                    raise _unscheduled(fast_id, iid)
+                arrival = descriptor.slot_end
             for c in range(k + 1):
                 if arrival > rel_row[c]:
                     rel_row[c] = arrival
                     sources[c] = src_iid
             continue
 
-        # Per sender, the fast frame's silencing price at every shared
-        # budget d: own recoveries still needed to miss the slot on top of
-        # the shared delay (beyond reexec only a kill silences).  The
-        # price is non-increasing in d; a branch whose prices all equal
+        # Local inputs are immune to the shared delay budget (the node DP
+        # covers their chain), so only the terminal kill removes them.
+        immune = [
+            (root_finish[src_iid], kill_cost, src_iid)
+            for src_iid, kill_cost in local
+        ]
+        # Per remote sender, the fast frame's silencing price at every
+        # shared budget d: own recoveries still needed to miss the slot on
+        # top of the shared delay (beyond reexec only a kill silences).
+        # The price is non-increasing in d; a branch whose prices all equal
         # the previous d's is dominated by it (same entries, smaller kill
         # budget => an earlier survivor), so only the breakpoints where
         # some price drops need evaluating.
-        fast_costs: list[list[int]] = []
+        fast_senders = []
         breakpoints = {0}
         for (
-            slot_start, _, _, row, step, reexec, kill_cost, _,
-        ) in fast_senders:
-            threshold = slot_start + FRAME_EPS
+            src_iid, fast_id, guaranteed_id, recovery_unit, reexec, kill_cost,
+        ) in remote:
+            descriptor = medl_by_id.get(fast_id)
+            if descriptor is None:
+                raise _unscheduled(fast_id, iid)
+            threshold = descriptor.slot_start + FRAME_EPS
+            row = no_recovery_rows[src_iid]
+            step = recovery_unit + mu
             costs = []
             for d in range(k + 1):
                 fast_cost = kill_cost
@@ -236,13 +194,20 @@ def release_row(
                 costs.append(fast_cost)
                 if d and fast_cost != costs[d - 1]:
                     breakpoints.add(d)
-            fast_costs.append(costs)
+            guaranteed = medl_by_id.get(guaranteed_id)
+            fast_senders.append((
+                costs,
+                descriptor.slot_end,
+                None if guaranteed is None else guaranteed.slot_end,
+                kill_cost,
+                src_iid,
+            ))
 
         for d in sorted(breakpoints):
             entries = list(immune)
-            for costs, (
-                _, slot_end, guaranteed_end, _, _, _, kill_cost, src_iid,
-            ) in zip(fast_costs, fast_senders):
+            for (
+                costs, slot_end, guaranteed_end, kill_cost, src_iid,
+            ) in fast_senders:
                 fast_cost = costs[d]
                 if fast_cost > 0:
                     entries.append((slot_end, fast_cost, src_iid))

@@ -106,6 +106,39 @@ def test_shard_job_text_is_pinned(small_target):
     )
 
 
+def test_sweep_payloads_are_the_canonical_job_envelope(small_target):
+    """The driver serializes the target once per sweep, yet every payload
+    is still the canonical JSON of its whole job envelope, byte for byte."""
+    from repro.inject.driver import _shard_jobs
+    from repro.inject.importance import importance_scenarios
+    from repro.inject.plan import plan_sweep
+    from repro.inject.space import ScenarioSpace
+    from repro.io.codec import FORMAT_VERSION, canonical_json
+    from repro.io.inject_codec import INJECT_JOB_KIND
+
+    context = small_target.build_context()
+    k = small_target.faults.k
+    plan = plan_sweep(
+        ScenarioSpace.of(context.ft, k),
+        len(importance_scenarios(small_target.record, context.ft, k)),
+        100_000,
+        shard_size=16,
+    )
+    target_dict = encode(small_target)
+    target_fp = small_target.fingerprint()
+    _, payloads = _shard_jobs(small_target, plan)
+    payloads = list(payloads)
+    assert len(payloads) == len(plan.shards) > 1
+    for spec, payload in zip(plan.shards, payloads):
+        assert payload == canonical_json({
+            "kind": INJECT_JOB_KIND,
+            "version": FORMAT_VERSION,
+            "target": target_dict,
+            "target_fingerprint": target_fp,
+            "spec": encode(spec),
+        })
+
+
 def test_workers_never_cache_an_unverified_target(small_target, monkeypatch):
     """A shard job without the target fingerprint, or claiming one its
     target does not hash to, is nacked and caches no context."""

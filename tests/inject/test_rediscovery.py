@@ -40,7 +40,7 @@ from repro.model.policy import Policy, PolicyAssignment
 from repro.opt.implementation import Implementation
 from repro.opt.initial import initial_bus_access
 from repro.schedule.list_scheduler import list_schedule
-from repro.schedule.state import group_release_inputs, group_survivor_indices
+from repro.schedule.state import group_survivor_indices
 from repro.sim.engine import SystemSimulator
 from repro.sim.faults import FaultScenario
 
@@ -66,14 +66,23 @@ def _prefix_release_row(ft, iid, faults, root_finish, no_recovery_rows,
     rel_row = [instance.release] * (k + 1)
     sources: list[str | None] = [None] * (k + 1)
     for group in ft.inputs_of(iid):
-        immune, fast_senders = group_release_inputs(
-            group, instance.node, instances, root_finish, no_recovery_rows,
-            medl_by_id, mu, iid,
-        )
-        arrivals = list(immune)
-        for (slot_start, slot_end, guaranteed_end, row, step, reexec,
-             kill_cost, src_iid) in fast_senders:
-            threshold = slot_start + 1e-9
+        replicated, local, remote = group.release_plan(instance.node)
+        arrivals = [
+            (root_finish[src_iid], kill_cost, src_iid)
+            for src_iid, kill_cost in local
+        ]
+        for (src_iid, fast_id, guaranteed_id, recovery_unit, reexec,
+             kill_cost) in remote:
+            slot = medl_by_id[fast_id]
+            if not replicated:
+                arrivals.append((slot.slot_end, kill_cost, src_iid))
+                continue
+            guaranteed = medl_by_id.get(guaranteed_id)
+            guaranteed_end = None if guaranteed is None else guaranteed.slot_end
+            slot_end = slot.slot_end
+            row = no_recovery_rows[src_iid]
+            step = recovery_unit + mu
+            threshold = slot.slot_start + 1e-9
             q_star = k + 1
             for q in range(k + 1):
                 finishes = [row[d] + (q - d) * step for d in range(q + 1)

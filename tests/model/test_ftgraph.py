@@ -11,6 +11,7 @@ from repro.model.mapping import ReplicaMapping
 from repro.model.merge import merge_application
 from repro.model.policy import Policy, PolicyAssignment
 from repro.opt.initial import initial_bus_access, initial_mpa
+from repro.opt.moves import generate_moves
 
 
 def _merged_chain():
@@ -198,3 +199,45 @@ def test_noop_overlay_adjacency_matches_base():
                     if moved[iid] != cold[iid]
                 ]
     assert differing == []
+
+
+def test_overlay_release_plans_match_a_cold_build():
+    """Every release plan an overlay serves equals a cold build's.
+
+    Input groups are shared between a base graph and its overlays, and
+    each caches one release plan per receiver node.  The base's plans are
+    all built first, so a shared group carrying a plan for senders the
+    move replaced would show here as a stale plan."""
+    checked = 0
+    for n, nodes, k, seed in ((20, 2, 2, 0), (30, 3, 3, 1)):
+        case = generate_case(n, nodes, k, seed=seed)
+        merged = merge_application(case.application)
+        bus = initial_bus_access(case.application, case.architecture)
+        impl = initial_mpa(merged, case.architecture, case.faults, bus, 2)
+        base = build_ft_graph(merged, impl.policies, impl.mapping, case.faults)
+        for iid, instance in base.instances.items():
+            for group in base.inputs_of(iid):
+                group.release_plan(instance.node)
+        moves = generate_moves(
+            merged, case.faults, impl, list(merged), (1, 2, 3), (2,)
+        )
+        assert moves
+        for move in moves:
+            moved = move.apply(impl)
+            overlay = ft_graph_with_move(
+                base, merged, moved.policies, moved.mapping, case.faults,
+                move.process,
+            )
+            cold = build_ft_graph(
+                merged, moved.policies, moved.mapping, case.faults
+            )
+            assert overlay.instances == cold.instances
+            for iid, instance in cold.instances.items():
+                node = instance.node
+                assert [
+                    group.release_plan(node) for group in overlay.inputs_of(iid)
+                ] == [
+                    group.release_plan(node) for group in cold.inputs_of(iid)
+                ]
+                checked += 1
+    assert checked > 0
