@@ -93,8 +93,8 @@ def test_pipeline_throughput_records_bench_json():
       priced per second by the *delta evaluation kernel*
       (``Evaluator.evaluate_many``, ``cache_size=0``) over the critical-path
       move neighbourhood of the 40-process case.  Each pricing is a
-      cone-suffix replay against the shared base context; no schedule
-      record is sealed.  This is the throughput one search iteration
+      replay from rank 0 that copies the rows the move leaves unchanged
+      from the shared base context; no schedule record is sealed.  This is the throughput one search iteration
       scales with.
     * ``delta.cold_neighbourhood_per_sec`` — the same neighbourhood priced
       by cold full passes; the headline divided by this is the delta

@@ -64,6 +64,13 @@ def _non_negative_int(value: str) -> int:
     return number
 
 
+def _non_negative_float(value: str) -> float:
+    number = float(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {number}")
+    return number
+
+
 def _jobs_arg(value: str) -> int:
     """Parse ``--jobs``: a worker count >= 1, or -1 for all CPUs.
 
@@ -98,12 +105,25 @@ def _add_trace(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_case(
+    parser: argparse.ArgumentParser, processes: int, k: int
+) -> None:
+    """The random-case options of the one-case commands."""
+    parser.add_argument("--processes", type=_positive_int, default=processes)
+    parser.add_argument("--nodes", type=_positive_int, default=2)
+    parser.add_argument("--k", type=_non_negative_int, default=k)
+    parser.add_argument("--mu", type=_non_negative_float, default=5.0)
+    parser.add_argument("--seed", type=int, default=0)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     _add_trace(parser)
-    parser.add_argument("--seeds", type=int, default=3, help="random apps per row")
+    parser.add_argument(
+        "--seeds", type=_positive_int, default=3, help="random apps per row"
+    )
     parser.add_argument(
         "--time-scale",
-        type=float,
+        type=_positive_float,
         default=1.0,
         help="multiply per-size search budgets (>=10 approaches paper scale)",
     )
@@ -232,11 +252,7 @@ def main(argv: list[str] | None = None) -> int:
             "tiers, streaming coverage bounds)"
         ),
     )
-    inject.add_argument("--processes", type=int, default=12)
-    inject.add_argument("--nodes", type=int, default=2)
-    inject.add_argument("--k", type=int, default=2)
-    inject.add_argument("--mu", type=float, default=5.0)
-    inject.add_argument("--seed", type=int, default=0)
+    _add_case(inject, processes=12, k=2)
     inject.add_argument(
         "--initial",
         action="store_true",
@@ -375,22 +391,14 @@ def main(argv: list[str] | None = None) -> int:
     validate = subparsers.add_parser(
         "validate", help="optimize one random case and fault-inject the schedule"
     )
-    validate.add_argument("--processes", type=int, default=20)
-    validate.add_argument("--nodes", type=int, default=2)
-    validate.add_argument("--k", type=int, default=3)
-    validate.add_argument("--mu", type=float, default=5.0)
-    validate.add_argument("--seed", type=int, default=0)
-    validate.add_argument("--samples", type=int, default=200)
+    _add_case(validate, processes=20, k=3)
+    validate.add_argument("--samples", type=_non_negative_int, default=200)
     _add_trace(validate)
 
     gantt = subparsers.add_parser(
         "gantt", help="optimize one random case and render the schedule"
     )
-    gantt.add_argument("--processes", type=int, default=12)
-    gantt.add_argument("--nodes", type=int, default=2)
-    gantt.add_argument("--k", type=int, default=2)
-    gantt.add_argument("--mu", type=float, default=5.0)
-    gantt.add_argument("--seed", type=int, default=0)
+    _add_case(gantt, processes=12, k=2)
     gantt.add_argument("--width", type=int, default=80)
     _add_trace(gantt)
 
@@ -398,11 +406,7 @@ def main(argv: list[str] | None = None) -> int:
         "export", help="optimize one random case and write problem+solution JSON"
     )
     export.add_argument("output", help="path of the JSON file to write")
-    export.add_argument("--processes", type=int, default=12)
-    export.add_argument("--nodes", type=int, default=2)
-    export.add_argument("--k", type=int, default=2)
-    export.add_argument("--mu", type=float, default=5.0)
-    export.add_argument("--seed", type=int, default=0)
+    _add_case(export, processes=12, k=2)
     _add_trace(export)
 
     args = parser.parse_args(argv)

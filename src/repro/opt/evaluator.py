@@ -75,9 +75,9 @@ DEFAULT_CACHE_SIZE = 4096
 
 #: Bound of the base-context LRU of :meth:`Evaluator.context_for`.
 #: The search advances one base per iteration, but tabu oscillation can
-#: bounce between a couple of recent bases; contexts are an order of
-#: magnitude heavier than records (trace + snapshots), so the bound is
-#: deliberately tiny.
+#: bounce between a couple of recent bases; a context holds its record
+#: plus the base FT graph, priorities, trace and read sets, so the bound
+#: is deliberately tiny.
 DEFAULT_CONTEXT_CACHE_SIZE = 4
 
 
@@ -203,8 +203,8 @@ class Evaluator:
         """The captured base context of ``implementation`` (LRU-cached).
 
         Capturing runs one traced cold schedule (the sealed record is
-        byte-identical to an untraced pass) plus periodic state snapshots;
-        the cost amortizes over every move priced against the base.
+        byte-identical to an untraced pass); the cost amortizes over every
+        move priced against the base.
         """
         signature = implementation.signature()
         contexts = self._contexts
@@ -373,7 +373,7 @@ def _price(
     plan: tuple,
 ) -> Cost:
     """Cost of one planned move; its replayed state dies on return."""
-    state, _stats = context.delta_schedule(
+    state = context.delta_schedule(
         candidate.policies, candidate.mapping, process, plan=plan
     )
     return _cost(*state.cost_view())

@@ -67,10 +67,11 @@ def greedy_mpa(
             )
             registry.inc("search.greedy.moves_priced", len(moves))
             # Batched delta evaluation: the whole neighbourhood is priced
-            # against one captured base context (cone-suffix replays, no
-            # records sealed); only the winner's schedule is realized, and
-            # the critical path is walked on the record's binding index
-            # triples — no view is ever materialized.
+            # against one captured base context (replays that copy the
+            # unchanged base rows, no records sealed); only the winner's
+            # schedule is realized, and the critical path is walked on the
+            # record's binding index triples — no view is ever
+            # materialized.
             best = None
             best_cost = current_cost
             for candidate in evaluator.evaluate_many(current, moves):

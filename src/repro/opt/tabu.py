@@ -74,9 +74,9 @@ def tabu_search_mpa(
             registry.inc("search.tabu.moves_priced", len(moves))
 
             # Batched delta evaluation: the neighbourhood is priced against
-            # one captured base context (cone-suffix replays, nothing
-            # sealed); only the *chosen* move's schedule record is realized
-            # — the selection itself needs costs alone.
+            # one captured base context (replays that copy the unchanged
+            # base rows, nothing sealed); only the *chosen* move's schedule
+            # record is realized — the selection itself needs costs alone.
             candidates = evaluator.evaluate_many(x_now, moves)
             chosen = _select_move(
                 [(c.move, c.cost) for c in candidates],

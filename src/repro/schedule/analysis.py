@@ -151,9 +151,6 @@ class PlacementResult:
 class WorstCaseAnalyzer:
     """Incremental per-node chain DP driven by the list scheduler."""
 
-    #: Per-pass containers (see :class:`repro.schedule.state.SchedulerState`).
-    PER_PASS = ("tails",)
-
     def __init__(self, faults: FaultModel) -> None:
         self.faults = faults
         #: node -> tail row of the node's last placed instance.

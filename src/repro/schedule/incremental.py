@@ -3,9 +3,8 @@
 The optimizer's neighbourhood moves change one process's mapping/policy;
 the rest of the design is untouched.  A cold list-scheduling pass therefore
 re-derives mostly identical rows.  This module captures one base schedule
-as an :class:`EvalContext` — the sealed record plus the per-step trace and
-periodic :class:`~repro.schedule.state.SchedulerSnapshot`s — and replays
-*moved* variants against it:
+as an :class:`EvalContext` — the sealed record plus the per-step trace —
+and replays *moved* variants against it:
 
 1. **Graph overlay** — :func:`repro.model.ftgraph.ft_graph_with_move`
    rebuilds only the moved process's cone of the FT graph, through the
@@ -13,13 +12,9 @@ periodic :class:`~repro.schedule.state.SchedulerSnapshot`s — and replays
    base by reference.  Priorities are recomputed for the moved group and
    its ancestors only, by the loop of
    :func:`repro.schedule.priorities.pcp_priorities` itself.
-2. **Prefix resume** — instances whose parameters and priorities are
-   unchanged are popped in the base order until the first rank at which a
-   changed instance *could* become ready (its base ready rank).  The replay
-   restores the deepest snapshot strictly below that rank instead of
-   re-scheduling the prefix.
-3. **Suffix clean-copy** — after the divergence rank the replay still pops
-   from a live heap (order may differ), but an instance whose inputs are
+2. **Clean copy** — every replay starts at rank 0 from a fresh
+   :class:`~repro.schedule.state.SchedulerState` and pops from a live heap
+   (order may differ from the base), but an instance whose inputs are
    provably unaffected — senders value-clean with unchanged parameters,
    the MEDL descriptors it reads byte-identical, the same chain predecessor
    with an equal tail row — has its base rows copied verbatim instead of
@@ -27,7 +22,7 @@ periodic :class:`~repro.schedule.state.SchedulerSnapshot`s — and replays
    per-node cursor into the base pack sequence for as long as a node's pack
    stream matches the base exactly; the first mismatch switches that node
    to live first-fit packing forever.
-4. **Convergence** — a recomputed instance whose rows come out equal to the
+3. **Convergence** — a recomputed instance whose rows come out equal to the
    base re-enters the clean set, so divergence cones close instead of
    poisoning everything downstream.
 
@@ -43,8 +38,6 @@ recomputation — the worst case is a full replay, never a wrong record.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Iterator
 
@@ -60,43 +53,8 @@ from repro.schedule.record import (
     BIND_RELEASE,
     ScheduleRecord,
 )
-from repro.schedule.state import (
-    SchedulerSnapshot,
-    SchedulerState,
-    ScheduleTrace,
-)
+from repro.schedule.state import SchedulerState, ScheduleTrace
 from repro.ttp.bus import BusConfig
-
-
-@dataclass(frozen=True, slots=True)
-class MoveCone:
-    """The schedule region a single-process design change can reach.
-
-    ``earliest_rank`` is the deepest base placement rank guaranteed to be
-    unaffected: every instance whose parameters or priority the move
-    changes first becomes ready at or after it, so the base schedule's
-    prefix below that rank is byte-reusable.  ``changed`` lists the
-    instance ids with changed parameters or priorities (the cone's seeds —
-    divergence may spread further during replay, which the kernel tracks
-    dynamically).
-    """
-
-    process: str
-    earliest_rank: int
-    changed: frozenset[str]
-
-
-@dataclass(slots=True)
-class DeltaStats:
-    """Work accounting of one delta replay (for benchmarks/telemetry)."""
-
-    resumed_rank: int
-    copied: int
-    recomputed: int
-
-    @property
-    def scheduled(self) -> int:
-        return self.copied + self.recomputed
 
 
 class EvalContext:
@@ -115,8 +73,6 @@ class EvalContext:
         "chain_pred",
         "reads",
         "medl_by_id",
-        "snapshots",
-        "_snapshot_ranks",
         "_ancestors",
     )
 
@@ -131,7 +87,6 @@ class EvalContext:
         trace: ScheduleTrace,
         no_recovery_rows: dict[str, tuple[float, ...]],
         medl_by_id: dict,
-        snapshots: list[tuple[int, SchedulerSnapshot, dict[str, int]]],
     ) -> None:
         self.graph = graph
         self.ft = ft
@@ -142,8 +97,6 @@ class EvalContext:
         self.trace = trace
         self.no_recovery_rows = no_recovery_rows
         self.medl_by_id = medl_by_id
-        self.snapshots = snapshots
-        self._snapshot_ranks = [rank for rank, _, _ in snapshots]
         self._ancestors: dict[str, tuple[str, ...]] = {}
 
         ids = record.instance_ids
@@ -188,25 +141,18 @@ class EvalContext:
         faults: FaultModel,
         bus: BusConfig,
     ) -> "EvalContext":
-        """Run one traced cold schedule, snapshotting periodically.
+        """Run one traced cold schedule.
 
         The sealed record is byte-identical to an untraced
-        ``build_schedule_record`` — tracing only observes.
+        ``build_schedule_record`` — tracing only observes.  The pass steps
+        the state itself rather than calling ``run()``, so the
+        ``scheduler.passes`` counter keeps counting cold passes only.
         """
-        # Denser snapshots help small problems (every restore skips more of
-        # the prefix proportionally); for big ones the snapshot copies
-        # themselves would dominate, so space them out.
-        stride = max(8, len(ft) // 8)
         trace = ScheduleTrace()
         state = SchedulerState(graph, ft, faults, bus, trace=trace)
-        snapshots: list[tuple[int, SchedulerSnapshot, dict[str, int]]] = []
-        pack = trace.pack
-        while not state.done:
-            rank = state.rank
-            if rank % stride == 0:
-                counts = {node: len(seq) for node, seq in pack.items()}
-                snapshots.append((rank, state.snapshot(), counts))
-            state.step()
+        step = state.step
+        while state.ready:
+            step()
         record = state.seal()
         return cls(
             graph=graph,
@@ -218,57 +164,6 @@ class EvalContext:
             trace=trace,
             no_recovery_rows=state.no_recovery_rows,
             medl_by_id=state.bus_scheduler.medl.by_id(),
-            snapshots=snapshots,
-        )
-
-    # -- cone --------------------------------------------------------------
-
-    def cone_of(
-        self,
-        moved_ft: FTGraph,
-        moved_priorities: dict[str, float],
-        process: str,
-    ) -> MoveCone:
-        """Exact impact cone of a single-process change (see MoveCone)."""
-        ready_rank = self.trace.ready_rank
-        base_priorities = self.priorities
-        changed: set[str] = set(self.ft.group_of[process])
-        changed.update(moved_ft.group_of[process])
-        # Every replica of the process shares its predecessors, so one
-        # representative's base ready rank bounds them all (new replicas
-        # included — they become ready exactly when the base ones did).
-        earliest = ready_rank[self.ft.group_of[process][0]]
-        for iid, priority in moved_priorities.items():
-            base = base_priorities.get(iid)
-            if base is not None and base != priority:
-                changed.add(iid)
-                rank = ready_rank[iid]
-                if rank < earliest:
-                    earliest = rank
-        # Moving a process also changes which nodes *receive* its input
-        # messages, which can create or remove frames of its predecessor
-        # senders (a frame exists only if some receiver is remote).  Those
-        # frames are packed at the sender's placement rank — possibly far
-        # inside the otherwise-unaffected prefix — so a changed frame set
-        # bounds the cone at the sender's placement, not its values.
-        base_index = self.base_index
-        base_out = self.ft._out_bus
-        moved_out = moved_ft._out_bus
-        for message in self.graph.in_messages(process):
-            for src_iid in self.ft.group_of[message.src]:
-                before = base_out.get(src_iid)
-                after = moved_out.get(src_iid)
-                if before is after:
-                    continue
-                if [m.id for m in before or ()] != [m.id for m in after or ()]:
-                    changed.add(src_iid)
-                    rank = base_index[src_iid]
-                    if rank < earliest:
-                        earliest = rank
-        return MoveCone(
-            process=process,
-            earliest_rank=earliest,
-            changed=frozenset(changed),
         )
 
     # -- incremental priorities --------------------------------------------
@@ -336,18 +231,17 @@ class EvalContext:
         policies: PolicyAssignment,
         mapping: ReplicaMapping,
         process: str,
-    ) -> tuple[FTGraph, dict[str, float], MoveCone]:
-        """Overlay graph, incremental priorities and impact cone of a move."""
+    ) -> tuple[FTGraph, dict[str, float]]:
+        """Overlay graph and incremental priorities of a move."""
         ft = ft_graph_with_move(
             self.ft, self.graph, policies, mapping, self.faults, process
         )
-        priorities = self.moved_priorities(ft, process)
-        return ft, priorities, self.cone_of(ft, priorities, process)
+        return ft, self.moved_priorities(ft, process)
 
     def plan_moves(
         self,
         candidates: Iterable[tuple[PolicyAssignment, ReplicaMapping, str]],
-    ) -> Iterator[tuple[FTGraph, dict[str, float], MoveCone]]:
+    ) -> Iterator[tuple[FTGraph, dict[str, float]]]:
         """:meth:`plan_move` for a whole neighbourhood, in order.
 
         A generator: each plan is built only when it is drawn, so a caller
@@ -362,73 +256,31 @@ class EvalContext:
         policies: PolicyAssignment,
         mapping: ReplicaMapping,
         process: str,
-        plan: tuple[FTGraph, dict[str, float], MoveCone] | None = None,
-    ) -> tuple[SchedulerState, DeltaStats]:
+        plan: tuple[FTGraph, dict[str, float]] | None = None,
+    ) -> SchedulerState:
         """Replay the moved design; returns the completed, *unsealed* state.
 
         Callers that only price a candidate read
         :meth:`SchedulerState.cost_view` off the returned state and skip
         sealing entirely; the winner of a neighbourhood is sealed once.
-        ``plan`` short-circuits the overlay/priorities/cone computation
-        when the caller already planned the move (:meth:`plan_moves`).
+        ``plan`` short-circuits the overlay/priorities computation when the
+        caller already planned the move (:meth:`plan_moves`).
         """
-        graph = self.graph
-        faults = self.faults
-        ft, priorities, cone = (
+        ft, priorities = (
             self.plan_move(policies, mapping, process)
             if plan is None
             else plan
         )
-
         state = SchedulerState(
-            graph, ft, faults, self.bus, priorities=priorities
+            self.graph, ft, self.faults, self.bus, priorities=priorities
         )
-        old_group = self.ft.group_of[process]
-        new_group = ft.group_of[process]
-        cursors: dict[str, int] = {}
-        resumed = 0
-        # Deepest snapshot strictly below the cone: at any rank < earliest
-        # no changed instance is in the heap yet (its base ready rank is
-        # >= earliest), so the base heap/arrays restore verbatim.
-        slot = bisect_right(self._snapshot_ranks, cone.earliest_rank - 1) - 1
-        if slot >= 0:
-            rank, snapshot, pack_counts = self.snapshots[slot]
-            state.restore(snapshot)
-            cursors.update(pack_counts)
-            resumed = rank
-            remaining = state.remaining
-            grew = len(new_group) - len(old_group)
-            if grew:
-                if grew > 0:
-                    # New replicas share the base replicas' predecessors,
-                    # none of which are placed in the prefix (the process
-                    # itself only becomes ready at/after the cone rank) —
-                    # so the pending count transfers verbatim.
-                    seed = remaining[old_group[0]]
-                    for iid in new_group[len(old_group):]:
-                        remaining[iid] = seed
-                else:
-                    for iid in old_group[len(new_group):]:
-                        del remaining[iid]
-                # Each successor's pending count grows by the group delta
-                # exactly once: one message joins an ordered process pair,
-                # so every (sender replica, receiver replica) instance edge
-                # is unique.
-                for dst in graph.successors(process):
-                    for iid in ft.group_of[dst]:
-                        remaining[iid] += grew
-        stats = self._replay(state, ft, cone, cursors, resumed)
-        return state, stats
+        self._replay(state, ft, process)
+        return state
 
     def _replay(
-        self,
-        state: SchedulerState,
-        ft: FTGraph,
-        cone: MoveCone,
-        cursors: dict[str, int],
-        resumed: int,
-    ) -> DeltaStats:
-        """Drive ``state`` to completion with base-copy fast paths.
+        self, state: SchedulerState, ft: FTGraph, process: str
+    ) -> None:
+        """Drive ``state`` from rank 0 to completion with base-copy fast paths.
 
         Rows that cannot be copied are recomputed by the cold pass's own
         :meth:`SchedulerState.place`, and fast frames wait on its
@@ -468,14 +320,12 @@ class EvalContext:
         # instance whose recomputed rows differ from the base, and clears
         # again on convergence.
         param_dirty = frozenset(
-            set(self.ft.group_of[cone.process]) | set(group_of[cone.process])
+            set(self.ft.group_of[process]) | set(group_of[process])
         )
         dirty_values: set[str] = set(param_dirty)
         dirty_desc: set[str] = set()
         pack_dirty: set[str] = set()  # nodes whose pack stream diverged
-
-        copied = 0
-        recomputed = 0
+        cursors: dict[str, int] = {}  # node -> next base pack entry
 
         while ready:
             _, iid = heappop(ready)
@@ -500,7 +350,6 @@ class EvalContext:
                         copy = tails.get(node) == base_tails[predecessor]
 
             if copy:
-                copied += 1
                 node_id = builder.node_id(node)
                 kind, source, budget = base_bindings[base_at]
                 if kind == BIND_NODE:
@@ -529,7 +378,6 @@ class EvalContext:
                 no_recovery_rows[iid] = base_no_recovery[iid]
                 tails[node] = base_tails[iid]
             else:
-                recomputed += 1
                 result = place(iid, instance)
                 finish_row = result.finish_row
                 wcf = result.wcf
@@ -592,7 +440,3 @@ class EvalContext:
                 remaining[succ] = count
                 if count == 0:
                     heappush(ready, (-priorities[succ], succ))
-
-        return DeltaStats(
-            resumed_rank=resumed, copied=copied, recomputed=recomputed
-        )

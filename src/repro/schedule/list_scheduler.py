@@ -25,10 +25,11 @@ row by row as instances are placed — and returned wrapped in the lazy
 :class:`repro.schedule.table.SystemSchedule` view.
 
 The scheduling machinery itself lives in :mod:`repro.schedule.state` as the
-snapshotable :class:`~repro.schedule.state.SchedulerState`; this module is
+explicit :class:`~repro.schedule.state.SchedulerState`; this module is
 the one-shot façade (build a state, run it to completion, seal).  The
 incremental kernel in :mod:`repro.schedule.incremental` drives the same
-state machine with snapshot/restore for delta re-scheduling.
+state machine from rank 0, copying the rows a move leaves unchanged from a
+captured base pass, for delta re-scheduling.
 """
 
 from __future__ import annotations

@@ -187,11 +187,7 @@ class RecordBuilder:
     the arrays into the immutable record.
     """
 
-    #: Per-pass containers, every one flat over immutable values: the
-    #: scheduler's one copy rule (:meth:`SchedulerState.snapshot
-    #: <repro.schedule.state.SchedulerState.snapshot>`) takes and
-    #: restores exactly these.
-    PER_PASS = (
+    __slots__ = (
         "_processes",
         "_process_index",
         "_nodes",
@@ -207,7 +203,6 @@ class RecordBuilder:
         "bindings",
         "node_last",
     )
-    __slots__ = PER_PASS
 
     def __init__(self) -> None:
         self._processes: list[str] = []

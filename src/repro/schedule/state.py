@@ -1,4 +1,4 @@
-"""The list scheduler's mutable core, exposed as a snapshotable state machine.
+"""The list scheduler's mutable core, exposed as an explicit state machine.
 
 :class:`SchedulerState` owns every piece of mutable state the fault-tolerant
 list scheduler (paper §5.1, Fig. 6) advances per placement step:
@@ -14,19 +14,13 @@ list scheduler (paper §5.1, Fig. 6) advances per placement step:
 ``step()`` places exactly one instance (one iteration of the Fig. 6 loop);
 ``run()`` drives the schedule to completion; ``seal()`` freezes the record.
 The split exists for the incremental evaluation kernel
-(:mod:`repro.schedule.incremental`).  Each component declares its per-pass
-containers once, as a ``PER_PASS`` tuple of attribute names, and every one
-is a flat dict/list over immutable values.  One copy rule takes them all:
-:meth:`SchedulerState.snapshot` shallow-copies each declared container at a
-process-rank boundary and :meth:`SchedulerState.restore` copies each back,
-letting a re-schedule resume from the deepest prefix unaffected by a design
-change instead of starting cold.  The snapshot contract is documented in
-DESIGN.md.
+(:mod:`repro.schedule.incremental`), which drives a fresh state from rank 0
+with its own loop and copies unaffected rows from a captured base pass.
 
 With ``trace=ScheduleTrace()`` the state additionally records the per-step
 facts the delta kernel needs to decide, during a later replay, whether an
-instance's base rows can be copied verbatim: the rank at which each instance
-became ready, its chain tail row, and each node's bus pack sequence.
+instance's base rows can be copied verbatim: its chain tail row and each
+node's bus pack sequence.
 
 A placement that is recomputed rather than copied runs through
 :meth:`SchedulerState.place` and :meth:`SchedulerState.fast_frame_budget`
@@ -236,41 +230,20 @@ def release_row(
 class ScheduleTrace:
     """Per-step facts recorded during a full run for later delta replays.
 
-    All maps are keyed by instance id.  ``ready_rank[iid]`` is the earliest
-    placement rank at which ``iid`` could have been popped (0 for roots,
-    otherwise one past the rank of its last-placed predecessor) — the delta
-    kernel's divergence bound rewinds to the minimum ready rank over all
-    affected instances.  ``pack`` holds each node's bus pack sequence as
+    ``tail_rows[iid]`` is the analyzer's chain tail row after ``iid``'s
+    placement.  ``pack`` holds each node's bus pack sequence as
     ``(bus_message_id, data_ready)`` pairs in pack order, which is what the
     replay compares against to reuse a base MEDL descriptor without
     re-running first-fit.
     """
 
-    ready_rank: dict[str, int] = field(default_factory=dict)
     tail_rows: dict[str, tuple[float, ...]] = field(default_factory=dict)
     pack: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
-
-
-@dataclass(frozen=True, slots=True)
-class SchedulerSnapshot:
-    """Every declared per-pass container, frozen at one placement rank.
-
-    ``containers`` holds a shallow copy of each container named by a
-    component's ``PER_PASS``, in :meth:`SchedulerState._parts` order.
-    Their elements are immutable (floats, tuples, descriptors), so no
-    structure is shared mutably with the live state.
-    """
-
-    rank: int
-    containers: tuple
 
 
 class SchedulerState:
     """One in-flight list-scheduling pass as an explicit state machine."""
 
-    #: Per-pass containers of the state itself; its analyzer, bus
-    #: scheduler, MEDL and record builder declare their own.
-    PER_PASS = ("ready", "remaining", "root_finish", "no_recovery_rows")
     __slots__ = (
         "graph",
         "ft",
@@ -283,7 +256,10 @@ class SchedulerState:
         "trace",
         "_succ_of",
         "_k",
-        *PER_PASS,
+        "ready",
+        "remaining",
+        "root_finish",
+        "no_recovery_rows",
     )
 
     def __init__(
@@ -325,18 +301,11 @@ class SchedulerState:
             if count == 0
         ]
         heapq.heapify(self.ready)
-        if trace is not None:
-            for _, iid in self.ready:
-                trace.ready_rank[iid] = 0
 
     @property
     def rank(self) -> int:
         """Number of instances placed so far (= next placement rank)."""
         return len(self.builder.instance_ids)
-
-    @property
-    def done(self) -> bool:
-        return not self.ready
 
     def place(self, iid: str, instance: Instance) -> PlacementResult:
         """Compute and record ``iid``'s rows from the current state.
@@ -443,13 +412,10 @@ class SchedulerState:
         remaining = self.remaining
         ready = self.ready
         priorities = self.priorities
-        rank_after = len(self.builder.instance_ids)
         for succ in self._succ_of[iid]:
             remaining[succ] -= 1
             if remaining[succ] == 0:
                 heapq.heappush(ready, (-priorities[succ], succ))
-                if trace is not None:
-                    trace.ready_rank[succ] = rank_after
         return iid
 
     def run(self) -> None:
@@ -461,38 +427,6 @@ class SchedulerState:
         registry = get_registry()
         registry.inc("scheduler.passes")
         registry.inc("scheduler.pass_s", time.perf_counter() - started)
-
-    # -- snapshot / restore (incremental kernel) ---------------------------
-
-    def _parts(self) -> tuple:
-        """Every component declaring per-pass containers, in snapshot order."""
-        bus_scheduler = self.bus_scheduler
-        return (
-            self, self.analyzer, bus_scheduler, bus_scheduler.medl,
-            self.builder,
-        )
-
-    def snapshot(self) -> SchedulerSnapshot:
-        """Freeze all per-pass state at the current rank (shallow copies)."""
-        return SchedulerSnapshot(
-            self.rank,
-            tuple(
-                getattr(part, name).copy()
-                for part in self._parts()
-                for name in part.PER_PASS
-            ),
-        )
-
-    def restore(self, snapshot: SchedulerSnapshot) -> None:
-        """Rewind to a snapshot taken from *this* configuration.
-
-        Each container is copied again on restore, so one snapshot can
-        seed any number of replays.
-        """
-        saved = iter(snapshot.containers)
-        for part in self._parts():
-            for name in part.PER_PASS:
-                setattr(part, name, next(saved).copy())
 
     # -- sealing ------------------------------------------------------------
 

@@ -80,9 +80,6 @@ def unpack_descriptor(
 class MEDL:
     """All message descriptors of one synthesized system schedule."""
 
-    #: Per-pass containers (see :class:`repro.schedule.state.SchedulerState`).
-    PER_PASS = ("_by_id",)
-
     def __init__(self) -> None:
         self._by_id: dict[str, MessageDescriptor] = {}
 

@@ -7,12 +7,11 @@ which still has payload capacity.  Delivery is at slot end (see
 :mod:`repro.ttp.bus`).
 
 The scheduler's only mutable state is the per-slot payload counter
-``(node, round) -> used bytes`` plus the MEDL it appends to.  Both declare
-their flat maps as ``PER_PASS`` state, which is what lets the incremental
-evaluation kernel (:mod:`repro.schedule.state`) snapshot and restore bus
-progress at arbitrary placement ranks.  :class:`repro.ttp.frame.Frame`
-views are *rendered* from MEDL descriptors on demand — they are not part
-of the scheduling state.
+``(node, round) -> used bytes`` plus the MEDL it appends to; the
+incremental evaluation kernel (:mod:`repro.schedule.incremental`) re-admits
+base descriptors through :meth:`BusScheduler.copy_descriptor`, which keeps
+both in step.  :class:`repro.ttp.frame.Frame` views are *rendered* from
+MEDL descriptors on demand — they are not part of the scheduling state.
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ from repro.ttp.medl import MEDL, MessageDescriptor
 
 class BusScheduler:
     """Stateful first-fit allocator of messages into TDMA frames."""
-
-    #: Per-pass containers (see :class:`repro.schedule.state.SchedulerState`).
-    PER_PASS = ("_used",)
 
     def __init__(self, bus: BusConfig) -> None:
         self.bus = bus

@@ -176,7 +176,7 @@ class TestTierParity:
             cold = build_schedule_record(merged, ft, faults, design.bus)
             assert candidate.cost == cost
             # The delta tier's own record: the candidate's replay, sealed.
-            state, _ = context.delta_schedule(
+            state = context.delta_schedule(
                 design.policies, design.mapping, candidate.move.process
             )
             assert repr(state.seal()) == repr(cold)

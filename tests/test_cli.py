@@ -57,6 +57,26 @@ class TestCLI:
         assert excinfo.value.code == 2  # argparse usage error
         assert "-1 for all CPUs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gantt", "--processes", "0"],
+            ["validate", "--nodes", "0"],
+            ["export", "case.json", "--k", "-1"],
+            ["inject", "--mu", "-1"],
+            ["table1c", "--seeds", "0"],
+            ["table1a", "--time-scale", "0"],
+            ["figure10", "--time-scale", "-2"],
+            ["validate", "--samples", "-5"],
+        ],
+        ids="_".join,
+    )
+    def test_out_of_range_input_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2  # argparse usage error
+        assert "must be" in capsys.readouterr().err
+
     def test_jobs_negative_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["figure10", "--jobs", "-3"])
